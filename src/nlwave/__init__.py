@@ -8,7 +8,6 @@ exact solitary waves, plus the convergence, truncation and decay study
 harness behind the ``nlwave`` command.
 """
 
-from ._backend import BACKEND
 from .analytic import (
     DecayEnvelope,
     DecayReport,
@@ -64,6 +63,9 @@ from .system import (
 )
 
 __version__ = "0.1.0"
+
+# The array library every numeric kernel runs on, for run stamps.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -1,13 +1,14 @@
 """Command-line front end: study dispatch and CSV emission.
 
 Subcommands: ``simulate``, ``converge``, ``truncation``, ``decay``.  Each
-takes ``--config <file>`` plus optional ``--output``, ``--workers`` and
-``--fast-conv`` overrides.  All numeric CSV fields use full round-trip
-decimal formatting, so re-running a config reproduces the files byte for
-byte (the wall-seconds timing column is the one exception).
+takes ``--config <file>`` plus optional ``--output`` and ``--fast-conv``
+overrides.  All numeric CSV fields use full round-trip decimal formatting,
+so re-running a config reproduces the files byte for byte (the
+wall-seconds timing column is the one exception).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -115,7 +116,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 def cmd_converge(cfg: RunConfig, outdir: str) -> int:
     if not cfg.h_list:
         raise ConfigError("converge needs a [study] h_list")
-    entries = run_h_refinement(cfg.study(), cfg.h_list, workers=cfg.workers)
+    entries = run_h_refinement(cfg.study(), cfg.h_list)
     rows = []
     for record, rate in entries:
         rows.append(
@@ -150,7 +151,7 @@ def cmd_converge(cfg: RunConfig, outdir: str) -> int:
 def cmd_truncation(cfg: RunConfig, outdir: str) -> int:
     if not cfg.n_list:
         raise ConfigError("truncation needs a [study] n_list")
-    records = run_truncation_study(cfg.study(), cfg.n_list, workers=cfg.workers)
+    records = run_truncation_study(cfg.study(), cfg.n_list)
     rows = [
         (
             rec.record.n_half,
@@ -242,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the INI run config")
         p.add_argument("--output", default=None, help="output directory override")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (default: available parallelism)")
         p.add_argument("--fast-conv", choices=("auto", "on", "off"), default=None,
                        help="convolution path selection")
     return parser
@@ -257,13 +256,8 @@ def main(argv=None) -> int:
         print(f"nlwave: config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.workers is not None:
-        if args.workers < 1:
-            print("nlwave: --workers must be positive", file=sys.stderr)
-            return 2
-        cfg = _replace(cfg, workers=args.workers)
     if args.fast_conv is not None:
-        cfg = _replace(cfg, fast_mode=args.fast_conv)
+        cfg = dataclasses.replace(cfg, fast_mode=args.fast_conv)
     outdir = args.output or os.environ.get("NLWAVE_OUTPUT") or cfg.output_dir
 
     try:
@@ -277,12 +271,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"nlwave: i/o error: {exc}", file=sys.stderr)
         return 1
-
-
-def _replace(cfg: RunConfig, **changes) -> RunConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, **changes)
 
 
 if __name__ == "__main__":

@@ -73,7 +73,6 @@ class RunConfig:
     decay_rate: float | None
     decay_scale: float | None
     decay_constant: float | None
-    workers: int | None
     fast_mode: str
     blow_up_threshold: float
 
@@ -206,9 +205,6 @@ def load_run_config(path: str) -> RunConfig:
             raise ConfigError("[grid] needs domain_half_width and h")
         if not (half > 0 and h > 0):
             raise ConfigError("domain_half_width and h must be positive")
-        ratio = half / h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
-            raise ConfigError("domain_half_width / h must be a positive integer")
 
         time_sec = parser["time"]
         t_end = time_sec.getfloat("t_end", fallback=None)
@@ -237,10 +233,6 @@ def load_run_config(path: str) -> RunConfig:
         study_sec = parser["study"] if parser.has_section("study") else {}
         h_list = _float_list(study_sec.get("h_list", "")) if study_sec else ()
         n_list = _int_list(study_sec.get("n_list", "")) if study_sec else ()
-        for hv in h_list:
-            r = half / hv
-            if hv <= 0 or abs(r - round(r)) > 1e-9 * max(1.0, r):
-                raise ConfigError(f"study h={hv} does not divide the half-width")
         if any(b >= a for a, b in zip(h_list, h_list[1:])):
             raise ConfigError("study h_list must be strictly decreasing")
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -263,10 +255,6 @@ def load_run_config(path: str) -> RunConfig:
 
         out_sec = parser["output"] if parser.has_section("output") else {}
         output_dir = out_sec.get("dir", "nlwave-out") if out_sec else "nlwave-out"
-        workers_raw = out_sec.get("workers", "").strip() if out_sec else ""
-        workers = int(workers_raw) if workers_raw else None
-        if workers is not None and workers < 1:
-            raise ConfigError("workers must be a positive integer")
         fast_mode = (out_sec.get("fast_conv", "auto") if out_sec else "auto").strip()
         if fast_mode not in ("auto", "on", "off"):
             raise ConfigError("fast_conv must be auto, on or off")
@@ -276,28 +264,32 @@ def load_run_config(path: str) -> RunConfig:
         )
         if threshold <= 0:
             raise ConfigError("blow_up_threshold must be positive")
+
+        cfg = RunConfig(
+            problem=problem,
+            domain_half_width=half,
+            h=h,
+            t_end=t_end,
+            snapshot_times=snapshots,
+            integrator=integrator,
+            output_dir=output_dir,
+            h_list=h_list,
+            n_list=n_list,
+            decay_rate=decay_rate,
+            decay_scale=decay_scale,
+            decay_constant=decay_constant,
+            fast_mode=fast_mode,
+            blow_up_threshold=threshold,
+        )
+        # StudyConfig.grid holds the one check that each h divides the width
+        study = cfg.study()
+        for hv in (h, *h_list):
+            study.grid(h=hv)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        problem=problem,
-        domain_half_width=half,
-        h=h,
-        t_end=t_end,
-        snapshot_times=snapshots,
-        integrator=integrator,
-        output_dir=output_dir,
-        h_list=h_list,
-        n_list=n_list,
-        decay_rate=decay_rate,
-        decay_scale=decay_scale,
-        decay_constant=decay_constant,
-        workers=workers,
-        fast_mode=fast_mode,
-        blow_up_threshold=threshold,
-    )
+    return cfg
 
 
 def _get(section, key, default):

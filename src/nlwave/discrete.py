@@ -6,17 +6,16 @@ Indices outside the range are treated as zero everywhere, which matches the
 decaying-solution regime the truncated system assumes.
 
 The discrete convolution has two interchangeable implementations: a direct
-summation (numba or numpy backend, see ``_backend``) and a fast path that
-zero-pads to the next power of two and multiplies real FFTs.  Both compute
-the same linear (non-circular) convolution.
+summation (``np.convolve``) and a fast path that zero-pads to the next power
+of two and multiplies real FFTs.  Both compute the same linear
+(non-circular) convolution.  ``fft_convolve`` is the one FFT routine; the
+truncated system calls it too, with its stencil transformed once up front.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._backend import convolve_pair_direct
 
 __all__ = [
     "Grid",
@@ -28,6 +27,7 @@ __all__ = [
     "quadrature_error_probe",
     "FAST_CONV_MIN_N",
     "fft_convolve",
+    "padded_rfft",
 ]
 
 # Below this half-width the direct path beats the FFT path; both stay
@@ -103,20 +103,31 @@ def restrict(function, grid: Grid) -> SampledSequence:
     return SampledSequence(grid, values)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
+def _fft_length(full: int) -> int:
+    # next power of two at or above the full linear-convolution length, so
+    # the cyclic transform never wraps around
+    return 1 << (full - 1).bit_length()
 
 
-def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def padded_rfft(b: np.ndarray, a_size: int) -> np.ndarray:
+    """Transform of ``b`` as ``fft_convolve`` pads it for an ``a_size`` partner."""
+    return np.fft.rfft(b, _fft_length(a_size + b.size - 1))
+
+
+def fft_convolve(
+    a: np.ndarray, b: np.ndarray, b_fft: np.ndarray | None = None
+) -> np.ndarray:
     """Full linear convolution of two 1-d arrays via zero-padded real FFTs.
 
     Pads to the next power of two at or above ``len(a)+len(b)-1`` so the
-    cyclic transform never wraps around.
+    cyclic transform never wraps around.  ``b_fft``, if given, must be
+    ``padded_rfft(b, a.size)``; it saves transforming a fixed ``b`` again.
     """
     full = a.size + b.size - 1
-    nfft = _next_pow2(full)
-    out = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)
-    return out[:full]
+    nfft = _fft_length(full)
+    if b_fft is None:
+        b_fft = padded_rfft(b, a.size)
+    return np.fft.irfft(np.fft.rfft(a, nfft) * b_fft, nfft)[:full]
 
 
 def discrete_convolution(
@@ -138,7 +149,8 @@ def discrete_convolution(
         full = fft_convolve(w.values, v.values)
         values = grid.h * full[n : 3 * n + 1]
     else:
-        values = convolve_pair_direct(w.values, v.values, grid.h)
+        # 'same' mode of the full linear convolution is the central slice
+        values = grid.h * np.convolve(w.values, v.values, mode="same")
     return SampledSequence(grid, values)
 
 

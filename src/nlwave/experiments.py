@@ -2,14 +2,12 @@
 
 The studies mirror the standard solitary-wave benchmark set: a profile
 comparison at one resolution, an h-refinement sweep at fixed domain, and a
-domain-truncation sweep at fixed mesh size.  Independent runs execute on a
-bounded thread pool; records are keyed and sorted by their parameters so
-aggregated output is order-independent.
+domain-truncation sweep at fixed mesh size.  The sweeps run their grids
+one after another, in the order of their parameter lists.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +114,7 @@ class StudyConfig:
         if n_half is not None:
             return Grid(h=self.h, n_half=n_half)
         h = self.h if h is None else h
-        ratio = self.domain_half_width / h
+        ratio = self.domain_half_width / h if h > 0 else 0.0
         n = round(ratio)
         if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)) or n < 1:
             raise ValueError(
@@ -205,15 +203,8 @@ def run_profile_study(cfg: StudyConfig) -> ProfileStudy:
     )
 
 
-def _pool_map(fn, items, workers):
-    if workers is not None and workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_h_refinement(
-    cfg: StudyConfig, h_values, workers: int | None = None
+    cfg: StudyConfig, h_values
 ) -> list[tuple[ErrorRecord, RateEstimate | None]]:
     """Fixed-domain error sweep over decreasing mesh sizes.
 
@@ -226,7 +217,7 @@ def run_h_refinement(
         raise ValueError("h values must be strictly decreasing")
     grids = [cfg.grid(h=h) for h in h_values]
 
-    results = _pool_map(lambda g: run_single(cfg, g), grids, workers)
+    results = [run_single(cfg, g) for g in grids]
     records = [rec for _, rec in results]
 
     if cfg.problem.wave is None:
@@ -250,7 +241,7 @@ def run_h_refinement(
 
     out: list[tuple[ErrorRecord, RateEstimate | None]] = []
     prev = None
-    for rec in sorted(records, key=lambda r: -r.h):
+    for rec in records:
         rate = convergence_rate(prev, rec) if prev is not None else None
         out.append((rec, rate))
         prev = rec
@@ -279,10 +270,7 @@ def _boundary_band_sup(traj: Trajectory, band_fraction: float) -> float:
 
 
 def run_truncation_study(
-    cfg: StudyConfig,
-    n_values,
-    workers: int | None = None,
-    band_fraction: float = 0.05,
+    cfg: StudyConfig, n_values, band_fraction: float = 0.05
 ) -> list[TruncationRecord]:
     """Fixed-h error sweep over the number of grid points.
 
@@ -297,20 +285,19 @@ def run_truncation_study(
     if cfg.problem.wave is None:
         raise ValueError("the truncation study needs an exact-solution oracle")
 
-    def one(n_half: int) -> TruncationRecord:
+    records = []
+    for n_half in n_values:
         grid = cfg.grid(n_half=n_half)
         traj, rec = run_single(cfg, grid)
         delta = _boundary_band_sup(traj, band_fraction)
         eps = cfg.problem.nonlinearity.max_abs_on_interval(delta)
-        return TruncationRecord(
+        records.append(TruncationRecord(
             record=rec,
             domain_half_width=grid.half_width,
             delta=delta,
             eps_delta=eps,
-        )
-
-    results = _pool_map(one, n_values, workers)
-    return sorted(results, key=lambda r: r.record.n_half)
+        ))
+    return records
 
 
 def plateau_onset(records: list[TruncationRecord], ratio: float = 0.9) -> int | None:

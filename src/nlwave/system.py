@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import convolve_rhs_direct, polynomial_terms
-from .discrete import FAST_CONV_MIN_N, Grid, SampledSequence
+from .discrete import FAST_CONV_MIN_N, Grid, SampledSequence, fft_convolve, padded_rfft
 from .kernels import Kernel
 
 __all__ = [
@@ -24,6 +23,7 @@ __all__ = [
     "rhs",
     "apply_nonlinearity",
     "discrete_mass",
+    "convolve_rhs_direct",
     "DEFAULT_BLOW_UP_THRESHOLD",
 ]
 
@@ -56,12 +56,6 @@ class Nonlinearity:
                 raise ValueError("term coefficients must be finite")
             cleaned.append((int(power), float(coeff)))
         object.__setattr__(self, "terms", tuple(cleaned))
-        object.__setattr__(
-            self, "_powers", np.array([p for p, _ in cleaned], dtype=np.int64)
-        )
-        object.__setattr__(
-            self, "_coeffs", np.array([c for _, c in cleaned], dtype=float)
-        )
 
     @classmethod
     def bbm(cls, p: int = 1) -> "Nonlinearity":
@@ -75,7 +69,10 @@ class Nonlinearity:
 
     def evaluate_values(self, v: np.ndarray) -> np.ndarray:
         """Entrywise evaluation on a raw array (hot path, no guards)."""
-        return polynomial_terms(self._powers, self._coeffs, v)
+        out = np.zeros_like(v)
+        for power, coeff in self.terms:
+            out += coeff * v**power
+        return out
 
     def max_abs_on_interval(self, bound: float, samples: int = 513) -> float:
         """max |f(z)| over |z| <= bound, by dense sampling."""
@@ -101,7 +98,6 @@ class TruncatedSystem:
     blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD
     fast_mode: str = "auto"
     _stencil_fft: np.ndarray = field(init=False, repr=False)
-    _nfft: int = field(init=False, repr=False)
 
     def __post_init__(self):
         stencil = np.array(self.stencil, dtype=float, copy=True)
@@ -115,9 +111,7 @@ class TruncatedSystem:
         if self.fast_mode not in ("auto", "on", "off"):
             raise ValueError("fast_mode must be 'auto', 'on' or 'off'")
         object.__setattr__(self, "stencil", stencil)
-        nfft = 1 << (6 * n).bit_length()  # >= 6N+1 full-convolution length
-        object.__setattr__(self, "_nfft", nfft)
-        object.__setattr__(self, "_stencil_fft", np.fft.rfft(stencil, nfft))
+        object.__setattr__(self, "_stencil_fft", padded_rfft(stencil, 2 * n + 1))
 
     @property
     def use_fast(self) -> bool:
@@ -143,14 +137,22 @@ class TruncatedSystem:
             raise BlowUpError("nonlinearity overflowed to non-finite values")
         n = self.grid.n_half
         if self.use_fast:
-            conv = np.fft.irfft(np.fft.rfft(g, self._nfft) * self._stencil_fft,
-                                self._nfft)
+            conv = fft_convolve(g, self.stencil, self._stencil_fft)
             out = -self.grid.h * conv[2 * n : 4 * n + 1]
         else:
             out = convolve_rhs_direct(self.stencil, g, self.grid.h)
         if not np.all(np.isfinite(out)):
             raise BlowUpError("right-hand side overflowed to non-finite values")
         return out
+
+
+def convolve_rhs_direct(stencil: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """Direct ``out_i = -sum_j h stencil_{i-j} g_j`` for ``-N <= i, j <= N``.
+
+    'valid' mode of the (4N+1) x (2N+1) linear convolution is exactly this
+    lag window.
+    """
+    return -h * np.convolve(stencil, g, mode="valid")
 
 
 def build_system(

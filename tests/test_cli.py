@@ -138,6 +138,11 @@ class TestValidation:
             "h = 0.3\n[time]\nt_end = 1\n"
         )
         assert main(["simulate", "--config", str(path)]) == 2
+        # study mesh sizes go through the same check, zero included
+        for h_list in ("0.5, 0.35", "0.5, 0"):
+            cfg, outdir = write_config(tmp_path, h_list=h_list)
+            assert main(["converge", "--config", cfg]) == 2
+            assert not os.path.exists(outdir)
 
     def test_decay_rate_above_one_rejected(self, tmp_path):
         cfg, outdir = write_config(tmp_path, rate=1.5)
@@ -173,9 +178,9 @@ class TestConverge:
 
     def test_deterministic_modulo_timing(self, tmp_path):
         cfg, outdir = write_config(tmp_path, h_list="0.5, 0.25")
-        assert main(["converge", "--config", cfg, "--workers", "2"]) == 0
+        assert main(["converge", "--config", cfg]) == 0
         hdr, rows1 = read_csv(os.path.join(outdir, "convergence.csv"))
-        assert main(["converge", "--config", cfg, "--workers", "4"]) == 0
+        assert main(["converge", "--config", cfg]) == 0
         _, rows2 = read_csv(os.path.join(outdir, "convergence.csv"))
         timing = hdr.index("wall_seconds")
         for r1, r2 in zip(rows1, rows2):

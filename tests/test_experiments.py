@@ -154,14 +154,6 @@ class TestHRefinement:
         with pytest.raises(ValueError):
             run_h_refinement(short_bbm_config(), [0.25, 0.25])
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = short_bbm_config()
-        seq = run_h_refinement(cfg, [0.5, 0.25], workers=1)
-        par = run_h_refinement(cfg, [0.5, 0.25], workers=4)
-        for (ra, _), (rb, _) in zip(seq, par):
-            assert ra.linf_error == rb.linf_error
-            assert ra.accepted_steps == rb.accepted_steps
-
     def test_self_refinement_for_custom_problem(self):
         # pyramid kernel, weak quadratic nonlinearity, gaussian bump
         nodes = np.linspace(-6.0, 6.0, 241)

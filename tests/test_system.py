@@ -21,6 +21,7 @@ from nlwave import (
     rhs,
     rosenau_kernel,
 )
+from nlwave.system import convolve_rhs_direct
 
 
 def rhs_oracle(stencil, h, n, g):
@@ -42,6 +43,12 @@ class TestNonlinearity:
     def test_quintic_example(self):
         f = Nonlinearity.rosenau()
         np.testing.assert_allclose(f.evaluate_values(np.array([1.0])), [3.0])
+
+    def test_quintic_on_eleven_point_grid(self):
+        f = Nonlinearity.rosenau()
+        v = np.linspace(-1.0, 1.0, 11)
+        expected = v - 10 * v**3 + 12 * v**5
+        assert np.max(np.abs(f.evaluate_values(v) - expected)) < 1e-14
 
     def test_zero_maps_to_zero(self):
         for f in (Nonlinearity.bbm(1), Nonlinearity.rosenau(),
@@ -142,6 +149,15 @@ class TestRhs:
         expected = rhs_oracle(system.stencil, g.h, g.n_half, fv)
         out = system.rhs_values(v)
         assert np.max(np.abs(out - expected)) < 1e-12
+
+    def test_direct_convolution_on_random_stencil(self):
+        rng = np.random.default_rng(314)
+        n, h = 24, 0.25
+        g = rng.standard_normal(2 * n + 1)
+        stencil = rng.standard_normal(4 * n + 1)
+        expected = rhs_oracle(stencil, h, n, g)
+        out = convolve_rhs_direct(stencil, g, h)
+        assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_fast_mode_auto_threshold(self):
         small = build_system(bbm_kernel(), Grid(h=0.5, n_half=16),
