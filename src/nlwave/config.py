@@ -1,7 +1,10 @@
 """Run-configuration files: flat INI-style key-value sections.
 
-One file describes one study.  Everything is validated up front so a
-malformed file never produces partial output.  Example::
+One file describes one study and loads into a ``RunConfig``, which is the
+library's ``StudyConfig`` plus the CLI's study lists, decay envelope and
+output directory.  Loading checks the INI format here and every value with
+the class that owns it, so a bad file fails with ``ConfigError`` before
+anything runs or is written.  Example::
 
     [equation]
     kind = bbm
@@ -38,7 +41,6 @@ whitespace-delimited columns, ``#`` comments), a ``nonlinearity`` term list
 """
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
 
@@ -48,7 +50,7 @@ from .analytic import DecayEnvelope
 from .experiments import IntegratorConfig, StudyConfig
 from .kernels import kernel_from_file
 from .problems import Problem, bbm_problem, custom_problem, rosenau_problem
-from .system import DEFAULT_BLOW_UP_THRESHOLD, Nonlinearity
+from .system import Nonlinearity
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config"]
 
@@ -58,35 +60,19 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully validated configuration for one CLI invocation."""
+class RunConfig(StudyConfig):
+    """A study configuration plus the CLI's study lists, envelope and output."""
 
-    problem: Problem
-    domain_half_width: float
-    h: float
-    t_end: float
-    snapshot_times: tuple[float, ...]
-    integrator: IntegratorConfig
-    output_dir: str
-    h_list: tuple[float, ...]
-    n_list: tuple[int, ...]
-    decay_rate: float | None
-    decay_scale: float | None
-    decay_constant: float | None
-    fast_mode: str
-    blow_up_threshold: float
+    output_dir: str = "nlwave-out"
+    h_list: tuple[float, ...] = ()
+    n_list: tuple[int, ...] = ()
+    decay_rate: float | None = None
+    decay_scale: float | None = None
+    decay_constant: float | None = None
 
     def study(self) -> StudyConfig:
-        return StudyConfig(
-            problem=self.problem,
-            domain_half_width=self.domain_half_width,
-            h=self.h,
-            t_end=self.t_end,
-            snapshot_times=self.snapshot_times,
-            integrator=self.integrator,
-            fast_mode=self.fast_mode,
-            blow_up_threshold=self.blow_up_threshold,
-        )
+        """This config itself; ``perfbench/setup_probe.py`` still calls it."""
+        return self
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -181,125 +167,79 @@ def _build_problem(sec, base_dir: str) -> Problem:
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse and fully validate a configuration file."""
+    """Parse a configuration file and check every value in it.
+
+    This function checks the INI format only; each value is checked by the
+    class that owns it (``Grid``, ``StudyConfig``, ``IntegratorConfig``,
+    ``DecayEnvelope``), and their ``ValueError`` becomes a ``ConfigError``.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    if not parser.has_section("equation"):
-        raise ConfigError("missing [equation] section")
-    if not parser.has_section("grid"):
-        raise ConfigError("missing [grid] section")
-    if not parser.has_section("time"):
-        raise ConfigError("missing [time] section")
+    for name in ("equation", "grid", "time"):
+        if not parser.has_section(name):
+            raise ConfigError(f"missing [{name}] section")
+
+    def section(name):
+        return parser[name] if parser.has_section(name) else {}
 
     try:
         problem = _build_problem(parser["equation"], base_dir)
-
-        grid_sec = parser["grid"]
-        half = grid_sec.getfloat("domain_half_width", fallback=None)
-        h = grid_sec.getfloat("h", fallback=None)
+        grid_sec, time_sec = parser["grid"], parser["time"]
+        half = _get(grid_sec, "domain_half_width")
+        h = _get(grid_sec, "h")
         if half is None or h is None:
             raise ConfigError("[grid] needs domain_half_width and h")
-        if not (half > 0 and h > 0):
-            raise ConfigError("domain_half_width and h must be positive")
-
-        time_sec = parser["time"]
-        t_end = time_sec.getfloat("t_end", fallback=None)
-        if t_end is None or t_end < 0:
-            raise ConfigError("[time] needs a nonnegative t_end")
-        snaps_raw = time_sec.get("snapshots", fallback="").strip()
-        snapshots = _float_list(snaps_raw) if snaps_raw else ()
-        if snapshots:
-            if list(snapshots) != sorted(snapshots):
-                raise ConfigError("snapshots must be sorted")
-            if snapshots[0] < 0 or snapshots[-1] > t_end:
-                raise ConfigError("snapshots must lie inside [0, t_end]")
-
-        integ_sec = parser["integrator"] if parser.has_section("integrator") else {}
-        try:
-            integrator = IntegratorConfig(
-                rel_tol=_get(integ_sec, "rel_tol", 1e-10),
-                abs_tol=_get(integ_sec, "abs_tol", 1e-10),
-                initial_step=_get(integ_sec, "initial_step", None),
-                max_step=_get(integ_sec, "max_step", math.inf),
-                max_steps=int(_get(integ_sec, "max_steps", 1_000_000)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [integrator] settings: {exc}") from exc
-
-        study_sec = parser["study"] if parser.has_section("study") else {}
-        h_list = _float_list(study_sec.get("h_list", "")) if study_sec else ()
-        n_list = _int_list(study_sec.get("n_list", "")) if study_sec else ()
-        if any(b >= a for a, b in zip(h_list, h_list[1:])):
-            raise ConfigError("study h_list must be strictly decreasing")
-        if any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError("study n_list must be strictly increasing")
-        if any(n < 1 for n in n_list):
-            raise ConfigError("study n_list entries must be positive")
-
-        decay_sec = parser["decay"] if parser.has_section("decay") else {}
-        decay_rate = _get(decay_sec, "rate", None)
-        decay_scale = _get(decay_sec, "scale", None)
-        decay_constant = _get(decay_sec, "constant", None)
-        if decay_rate is not None:
-            # validate eagerly; the envelope enforces 0 < rate < 1
-            DecayEnvelope(
-                rate=decay_rate,
-                scale=decay_scale if decay_scale is not None
-                else problem.envelope_scale,
-                constant=decay_constant if decay_constant is not None else 1.0,
-            )
-
-        out_sec = parser["output"] if parser.has_section("output") else {}
-        output_dir = out_sec.get("dir", "nlwave-out") if out_sec else "nlwave-out"
-        fast_mode = (out_sec.get("fast_conv", "auto") if out_sec else "auto").strip()
-        if fast_mode not in ("auto", "on", "off"):
-            raise ConfigError("fast_conv must be auto, on or off")
-
-        threshold = _get(
-            parser["equation"], "blow_up_threshold", DEFAULT_BLOW_UP_THRESHOLD
-        )
-        if threshold <= 0:
-            raise ConfigError("blow_up_threshold must be positive")
-
+        t_end = _get(time_sec, "t_end")
+        if t_end is None:
+            raise ConfigError("[time] needs t_end")
+        integ = _present(section("integrator"), rel_tol="rel_tol",
+                         abs_tol="abs_tol", initial_step="initial_step",
+                         max_step="max_step", max_steps="max_steps")
+        if "max_steps" in integ:
+            integ["max_steps"] = int(integ["max_steps"])
+        decay = _present(section("decay"), rate="rate", scale="scale",
+                         constant="constant")
+        if "rate" in decay:
+            DecayEnvelope(**decay)
+        study_sec, out_sec = section("study"), section("output")
         cfg = RunConfig(
             problem=problem,
             domain_half_width=half,
             h=h,
             t_end=t_end,
-            snapshot_times=snapshots,
-            integrator=integrator,
-            output_dir=output_dir,
-            h_list=h_list,
-            n_list=n_list,
-            decay_rate=decay_rate,
-            decay_scale=decay_scale,
-            decay_constant=decay_constant,
-            fast_mode=fast_mode,
-            blow_up_threshold=threshold,
+            snapshot_times=_float_list(time_sec.get("snapshots", "")),
+            integrator=IntegratorConfig(**integ),
+            h_list=_float_list(study_sec.get("h_list", "")),
+            n_list=_int_list(study_sec.get("n_list", "")),
+            **_present(parser["equation"], blow_up_threshold="blow_up_threshold"),
+            **{f"decay_{key}": value for key, value in decay.items()},
+            **({"output_dir": out_sec["dir"]} if "dir" in out_sec else {}),
         )
-        # StudyConfig.grid holds the one check that each h divides the width
-        study = cfg.study()
-        for hv in (h, *h_list):
-            study.grid(h=hv)
+        cfg.grid()
+        cfg.sweep_grids(cfg.h_list, cfg.n_list)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 
 
-def _get(section, key, default):
-    """Float (or passthrough-default) lookup tolerant of dict-like sections."""
-    if not section:
-        return default
+def _present(section, **keys) -> dict:
+    """``{field: float value}`` for each ``field=key`` the section sets."""
+    values = {field: _get(section, key) for field, key in keys.items()}
+    return {field: v for field, v in values.items() if v is not None}
+
+
+def _get(section, key):
+    """Float value of a key, or None when it is absent or blank."""
     raw = section.get(key, None)
-    if raw is None or (isinstance(raw, str) and not raw.strip()):
-        return default
+    if raw is None or not raw.strip():
+        return None
     try:
         return float(raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad numeric value for {key}: {raw!r}") from exc

@@ -26,6 +26,7 @@ __all__ = [
     "lp_norm",
     "quadrature_error_probe",
     "FAST_CONV_MIN_N",
+    "MAX_N_HALF",
     "fft_convolve",
     "padded_rfft",
 ]
@@ -33,6 +34,10 @@ __all__ = [
 # Below this half-width the direct path beats the FFT path; both stay
 # available for cross-checking.
 FAST_CONV_MIN_N = 32
+
+# Largest half-width N: the system's stencil of 4N+1 floats is then 512 MiB,
+# so a larger grid is refused before anything is allocated.
+MAX_N_HALF = 2**24
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,8 @@ class Grid:
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError("mesh size h must be positive and finite")
-        if self.n_half < 1:
-            raise ValueError("grid half-width N must be at least 1")
+        if not 1 <= self.n_half <= MAX_N_HALF:
+            raise ValueError(f"grid half-width N must lie in [1, {MAX_N_HALF}]")
 
     @property
     def node_count(self) -> int:

@@ -14,9 +14,9 @@ import numpy as np
 
 from .analytic import evaluate_solitary, initial_data
 from .discrete import Grid, SampledSequence, restrict
-from .integrator import IntegratorConfig, Trajectory, integrate
+from .integrator import IntegratorConfig, Trajectory, _normalize_snapshots, integrate
 from .problems import Problem
-from .system import build_system, discrete_mass
+from .system import DEFAULT_BLOW_UP_THRESHOLD, build_system, discrete_mass
 
 __all__ = [
     "DegenerateRateError",
@@ -99,7 +99,11 @@ def fit_observed_order(hs, errors, noise_floor: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Shared run parameters for the study protocols."""
+    """Shared run parameters for the study protocols.
+
+    The horizon and snapshots are checked on construction, grid sizes by
+    ``grid`` and ``sweep_grids``, the rest by the objects built from them.
+    """
 
     problem: Problem
     domain_half_width: float
@@ -108,13 +112,18 @@ class StudyConfig:
     snapshot_times: tuple[float, ...] = ()
     integrator: IntegratorConfig = IntegratorConfig()
     fast_mode: str = "auto"
-    blow_up_threshold: float = 1e6
+    blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD
+
+    def __post_init__(self):
+        _normalize_snapshots(self.t_end, self.snapshot_times or None)
 
     def grid(self, h: float | None = None, n_half: int | None = None) -> Grid:
         if n_half is not None:
             return Grid(h=self.h, n_half=n_half)
         h = self.h if h is None else h
         ratio = self.domain_half_width / h if h > 0 else 0.0
+        if not math.isfinite(ratio):
+            raise ValueError(f"half-width / h = {ratio} is not a finite size")
         n = round(ratio)
         if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)) or n < 1:
             raise ValueError(
@@ -122,6 +131,17 @@ class StudyConfig:
                 f"{self.domain_half_width} evenly"
             )
         return Grid(h=h, n_half=int(n))
+
+    def sweep_grids(self, h_values=(), n_values=()) -> list[Grid]:
+        """Grids of an h-refinement (h strictly decreasing) and a truncation
+        sweep (N strictly increasing), in list order."""
+        h_values, n_values = list(h_values), list(n_values)
+        if any(h2 >= h1 for h1, h2 in zip(h_values, h_values[1:])):
+            raise ValueError("h values must be strictly decreasing")
+        if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
+            raise ValueError("N values must be strictly increasing")
+        return ([self.grid(h=h) for h in h_values]
+                + [self.grid(n_half=n) for n in n_values])
 
     def snapshots(self) -> tuple[float, ...]:
         if self.snapshot_times:
@@ -212,16 +232,12 @@ def run_h_refinement(
     an exact wave, errors are Richardson-style gaps against one extra
     reference run at half the finest h, compared on shared nodes.
     """
-    h_values = list(h_values)
-    if any(h2 >= h1 for h1, h2 in zip(h_values, h_values[1:])):
-        raise ValueError("h values must be strictly decreasing")
-    grids = [cfg.grid(h=h) for h in h_values]
-
+    grids = cfg.sweep_grids(h_values=h_values)
     results = [run_single(cfg, g) for g in grids]
     records = [rec for _, rec in results]
 
     if cfg.problem.wave is None:
-        ref_grid = cfg.grid(h=h_values[-1] / 2.0)
+        ref_grid = cfg.grid(h=grids[-1].h / 2.0)
         ref_traj, _ = run_single(cfg, ref_grid)
         ref = ref_traj.final
         fixed = []
@@ -279,15 +295,12 @@ def run_truncation_study(
     ``delta`` (band amplitude over all snapshots) and ``eps_delta``
     (max |f| over ``[-delta, delta]``).
     """
-    n_values = list(n_values)
-    if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
-        raise ValueError("N values must be strictly increasing")
+    grids = cfg.sweep_grids(n_values=n_values)
     if cfg.problem.wave is None:
         raise ValueError("the truncation study needs an exact-solution oracle")
 
     records = []
-    for n_half in n_values:
-        grid = cfg.grid(n_half=n_half)
+    for grid in grids:
         traj, rec = run_single(cfg, grid)
         delta = _boundary_band_sup(traj, band_fraction)
         eps = cfg.problem.nonlinearity.max_abs_on_interval(delta)

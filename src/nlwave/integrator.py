@@ -110,17 +110,17 @@ def _initial_step_heuristic(f, y0, f0, rel_tol, abs_tol):
 
 
 def _normalize_snapshots(t_end, snapshots):
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    # written so that NaN fails every comparison and is rejected
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("t_end must be nonnegative and finite")
     if snapshots is None:
         snaps = [t_end]
     else:
         snaps = [float(t) for t in snapshots]
+    if not all(0.0 <= t <= t_end for t in snaps):
+        raise ValueError("snapshot times must lie in [0, t_end]")
     if sorted(snaps) != snaps:
         raise ValueError("snapshot times must be sorted")
-    for t in snaps:
-        if t < 0 or t > t_end:
-            raise ValueError("snapshot times must lie in [0, t_end]")
     if not snaps or snaps[0] != 0.0:
         snaps.insert(0, 0.0)
     # drop duplicates, keep order

@@ -1,5 +1,6 @@
 """Command-line interface: config validation, CSV output, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+import nlwave.cli
 from nlwave.cli import main
+from nlwave.config import ConfigError, load_run_config
 
 FAST_BBM = """
 [equation]
@@ -18,8 +21,8 @@ c = 1.8
 x0 = -3.0
 
 [grid]
-domain_half_width = 12.0
-h = 0.25
+domain_half_width = {half}
+h = {h}
 
 [time]
 t_end = {t_end}
@@ -42,9 +45,12 @@ dir = {outdir}
 
 
 def write_config(tmp_path, name="run.ini", t_end=1.0, snapshots="",
-                 h_list="0.5, 0.25", n_list="32, 48", rate=0.5, outdir=None):
+                 h_list="0.5, 0.25", n_list="32, 48", rate=0.5, outdir=None,
+                 half=12.0, h=0.25):
     outdir = outdir or str(tmp_path / "out")
     cfg = FAST_BBM.format(
+        half=half,
+        h=h,
         t_end=t_end,
         snapshots=f"snapshots = {snapshots}" if snapshots else "",
         h_list=h_list,
@@ -106,6 +112,32 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         assert (target / "summary.json").exists()
 
+    def test_failed_write_leaves_previous_output(self, tmp_path, monkeypatch,
+                                                 capsys):
+        cfg, outdir = write_config(tmp_path, t_end=0.5)
+        assert main(["simulate", "--config", cfg]) == 0
+        before = {f: open(os.path.join(outdir, f), "rb").read()
+                  for f in os.listdir(outdir)}
+        # a coarser grid: every file of the second run differs from the first
+        cfg, _ = write_config(tmp_path, t_end=0.5, h=0.5)
+        opened = []
+
+        def open_failing_second(path, *args, **kwargs):
+            opened.append(path)
+            if len(opened) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(nlwave.cli, "open", open_failing_second,
+                            raising=False)
+        assert main(["simulate", "--config", cfg]) == 1
+        assert len(opened) == 2
+        assert "i/o error" in capsys.readouterr().err
+        after = {f: open(os.path.join(outdir, f), "rb").read()
+                 for f in os.listdir(outdir)}
+        assert after == before
+        assert sorted(os.listdir(tmp_path)) == ["out", "run.ini"]  # no temp dir
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=1.0, snapshots="0, 1")
         assert main(["simulate", "--config", cfg]) == 0
@@ -152,6 +184,38 @@ class TestValidation:
     def test_converge_requires_h_list(self, tmp_path):
         cfg, outdir = write_config(tmp_path, h_list="")
         assert main(["converge", "--config", cfg]) == 2
+
+    # (command, overrides of the base config): each must exit 2 with a
+    # config error before anything runs or is written
+    BAD_INPUTS = {
+        "non-divisor-h": ("simulate", dict(h=0.35)),
+        "negative-half-width": ("simulate", dict(half=-12.0)),
+        "infinite-half-width": ("simulate", dict(half="inf")),
+        "overflowing-ratio": ("simulate", dict(half=1e300, h=1e-300)),
+        "nan-t_end": ("simulate", dict(t_end="nan")),
+        "inf-t_end": ("simulate", dict(t_end="inf")),
+        "negative-t_end": ("simulate", dict(t_end=-1.0)),
+        "unsorted-snapshots": ("simulate", dict(snapshots="0, 1, 0.5")),
+        "out-of-range-snapshots": ("simulate", dict(snapshots="0, 2")),
+        "nan-snapshot": ("simulate", dict(snapshots="0, nan, 1")),
+        "increasing-h_list": ("converge", dict(h_list="0.25, 0.5")),
+        "zero-in-h_list": ("converge", dict(h_list="0.5, 0")),
+        "decreasing-n_list": ("truncation", dict(n_list="48, 32")),
+        "zero-in-n_list": ("truncation", dict(n_list="0, 32")),
+        "rate-above-one": ("decay", dict(rate=1.5)),
+        # N = 4e15: refused on construction, long before any allocation
+        "oversize-grid": ("simulate", dict(half=1e15)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_rejected_before_any_output(self, tmp_path, capsys, case):
+        command, overrides = self.BAD_INPUTS[case]
+        cfg, _ = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError):
+            load_run_config(cfg)
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("nlwave: config error: ")
+        assert os.listdir(tmp_path) == ["run.ini"]
 
 
 class TestConverge:
@@ -226,6 +290,7 @@ class TestDecay:
         assert float(rows[0][1]) == 1.0  # calibration snapshot is tight
         summary = json.load(open(os.path.join(outdir, "summary.json")))
         assert summary["holds_at_all_snapshots"] is True
+        assert summary["holds_where_exact_has_headroom"] is True
 
     def test_zero_initial_data_custom(self, tmp_path):
         kfile = tmp_path / "kernel.txt"
@@ -242,6 +307,8 @@ class TestDecay:
         assert main(["decay", "--config", str(path)]) == 0
         _, rows = read_csv(tmp_path / "out" / "decay.csv")
         assert all(r[3] == "true" for r in rows)
+        summary = json.load(open(tmp_path / "out" / "summary.json"))
+        assert summary["holds_where_exact_has_headroom"] is None  # no oracle
 
 
 class TestCustomEquation:
@@ -261,7 +328,7 @@ class TestCustomEquation:
             "initial_amplitude = 0.5\ninitial_width = 1.0\n"
             "[grid]\ndomain_half_width = 10\nh = 0.25\n"
             "[time]\nt_end = 1.0\n"
-            "[study]\nh_list = 0.5, 0.25\n"
+            "[study]\nh_list = 0.5, 0.25\nn_list = 20, 40\n"
             f"[output]\ndir = {outdir}\n"
         )
         assert main(["simulate", "--config", str(path)]) == 0
@@ -272,6 +339,9 @@ class TestCustomEquation:
         assert main(["converge", "--config", str(path)]) == 0
         _, rows = read_csv(os.path.join(outdir, "convergence.csv"))
         assert float(rows[0][2]) > float(rows[1][2]) > 0.0
+        # the truncation study needs an exact wave: a config error, no output
+        assert main(["truncation", "--config", str(path)]) == 2
+        assert not (outdir / "truncation.csv").exists()
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -279,8 +349,6 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 class TestShippedConfigs:
     def test_all_shipped_configs_parse(self):
-        from nlwave.config import load_run_config
-
         names = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".ini"))
         assert len(names) == 8
         for name in names:
@@ -292,6 +360,31 @@ class TestShippedConfigs:
                 assert len(cfg.n_list) >= 9
             if "decay" in name:
                 assert cfg.decay_rate == 0.9
+
+    @pytest.mark.parametrize("name", ["bbm_decay.ini", "rosenau_decay.ini"])
+    def test_decay_configs_hold_where_exact_has_headroom(self, tmp_path, name):
+        # both horizons end at the mirror image of the initial state, where
+        # the t=0 envelope binds the exact wave with no headroom
+        cfg = os.path.join(CONFIG_DIR, name)
+        assert main(["decay", "--config", cfg, "--output", str(tmp_path)]) == 0
+        summary = json.load(open(tmp_path / "summary.json"))
+        assert summary["holds_at_all_snapshots"] is False
+        assert summary["holds_where_exact_has_headroom"] is True
+
+    def test_setup_probe_builds_every_bbm_sweep_system(self):
+        # the benchmark times set-up with this script; it must keep working
+        # against the current configuration layer
+        root = os.path.join(os.path.dirname(__file__), "..")
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "setup_probe.py"),
+             os.path.join(root, "src"),
+             "converge:" + os.path.join(CONFIG_DIR, "bbm_convergence.ini"),
+             "truncation:" + os.path.join(CONFIG_DIR, "bbm_truncation.ini")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["systems"] == 15
 
     def test_bbm_convergence_study_end_to_end(self, tmp_path):
         cfg = os.path.join(CONFIG_DIR, "bbm_convergence.ini")
@@ -327,11 +420,3 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(os.path.join(outdir, "summary.json"))
-
-    def test_fast_conv_flag(self, tmp_path):
-        cfg, outdir = write_config(tmp_path, t_end=0.5)
-        assert main(["simulate", "--config", cfg, "--fast-conv", "off"]) == 0
-        off = json.load(open(os.path.join(outdir, "summary.json")))
-        assert main(["simulate", "--config", cfg, "--fast-conv", "on"]) == 0
-        on = json.load(open(os.path.join(outdir, "summary.json")))
-        assert abs(off["linf_error"] - on["linf_error"]) < 1e-11

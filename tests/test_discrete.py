@@ -17,7 +17,7 @@ from nlwave import (
     rosenau_kernel,
     fit_observed_order,
 )
-from nlwave.discrete import fft_convolve
+from nlwave.discrete import MAX_N_HALF, fft_convolve
 
 
 def conv_oracle(w, v, h):
@@ -52,6 +52,10 @@ class TestGrid:
             Grid(h=-1.0, n_half=3)
         with pytest.raises(ValueError):
             Grid(h=0.5, n_half=0)
+        # the size ceiling is checked on construction; nothing is allocated
+        assert Grid(h=0.5, n_half=MAX_N_HALF).node_count == 2 * MAX_N_HALF + 1
+        with pytest.raises(ValueError):
+            Grid(h=0.5, n_half=MAX_N_HALF + 1)
 
 
 class TestSampledSequence:

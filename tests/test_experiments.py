@@ -106,6 +106,8 @@ class TestStudyConfig:
     def test_grid_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             short_bbm_config().grid(h=0.4)
+        with pytest.raises(ValueError):  # an infinite ratio, not an overflow
+            short_bbm_config(domain_half_width=math.inf).grid()
 
     def test_default_snapshots(self):
         assert short_bbm_config().snapshots() == (0.0, 2.0)

@@ -87,6 +87,8 @@ class TestBasicContracts:
         init = SampledSequence(system.grid, np.ones(3))
         with pytest.raises(ValueError):
             integrate(system, init, 1.0, snapshots=[2.0])
+        with pytest.raises(ValueError):
+            integrate(system, init, math.nan)
 
     def test_grid_mismatch_rejected(self):
         system = decay_stub(n_half=2)
