@@ -56,10 +56,8 @@ from .system import (
     BlowUpError,
     Nonlinearity,
     TruncatedSystem,
-    apply_nonlinearity,
     build_system,
     discrete_mass,
-    rhs,
 )
 
 __version__ = "0.1.0"
@@ -90,8 +88,6 @@ __all__ = [
     "Nonlinearity",
     "TruncatedSystem",
     "build_system",
-    "rhs",
-    "apply_nonlinearity",
     "discrete_mass",
     "BlowUpError",
     # integrator

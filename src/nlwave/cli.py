@@ -5,13 +5,15 @@ takes ``--config <file>`` plus an optional ``--output`` override.  A bad
 config, or inputs a study refuses, exit 2; a failed integration or write
 exits 1.  Each command returns its CSV tables and summary fields, and
 ``main`` renders every file before it writes any, into a temporary
-directory beside the output directory, then moves each file into place.
+directory beside the output directory, then moves each file into place and
+removes the command outputs of earlier runs that it did not rewrite.
 All numeric CSV fields use full round-trip decimal formatting, so re-running
 a config reproduces the files byte for byte (the wall-seconds timing column
 is the one exception).
 """
 
 import argparse
+import fnmatch
 import json
 import math
 import os
@@ -19,12 +21,7 @@ import shutil
 import sys
 import tempfile
 
-from .analytic import (
-    DecayEnvelope,
-    calibrate_envelope,
-    check_decay,
-    evaluate_solitary,
-)
+from .analytic import calibrate_envelope, check_decay, evaluate_solitary
 from .config import ConfigError, RunConfig, load_run_config
 from .discrete import SampledSequence
 from .experiments import (
@@ -41,6 +38,10 @@ __all__ = ["main"]
 # An exact-wave envelope ratio this close to 1 is a rounding tie with the
 # calibration constant, not headroom.
 ENVELOPE_TIE = 1e-9
+
+# The names of the files the commands write besides summary.json.
+_OUTPUT_PATTERNS = ("profile_*_t*.csv", "convergence.csv", "truncation.csv",
+                    "decay.csv")
 
 
 def _fmt(value) -> str:
@@ -60,7 +61,12 @@ def _csv_text(header, rows) -> str:
 
 def _write_outputs(outdir: str, texts: dict) -> None:
     """Write every file into a temporary directory beside ``outdir``, then
-    move each into place; the temporary directory never outlives the call."""
+    move each into place; the temporary directory never outlives the call.
+
+    Once every new file is in place, command outputs of earlier runs that
+    this run did not rewrite are removed, so the directory holds one run's
+    files; other files stay.
+    """
     parent = os.path.dirname(os.path.abspath(outdir))
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".nlwave-", dir=parent)
@@ -71,6 +77,10 @@ def _write_outputs(outdir: str, texts: dict) -> None:
         os.makedirs(outdir, exist_ok=True)
         for name in texts:
             os.replace(os.path.join(tmp, name), os.path.join(outdir, name))
+        for name in os.listdir(outdir):
+            if name not in texts and any(
+                    fnmatch.fnmatchcase(name, p) for p in _OUTPUT_PATTERNS):
+                os.remove(os.path.join(outdir, name))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -173,13 +183,8 @@ def cmd_decay(cfg: RunConfig):
         raise ConfigError("decay needs a [decay] section with a rate")
     study = run_profile_study(cfg)
     traj = study.trajectory
-    scale = cfg.decay_scale or cfg.problem.envelope_scale
-    if cfg.decay_constant is not None:
-        envelope = DecayEnvelope(
-            rate=cfg.decay_rate, scale=scale, constant=cfg.decay_constant
-        )
-    else:
-        envelope = calibrate_envelope(traj.states[0], cfg.decay_rate, scale)
+    envelope = calibrate_envelope(traj.states[0], cfg.decay_rate,
+                                  cfg.problem.envelope_scale)
     wave = cfg.problem.wave
     rows = []
     headroom_holds = []  # at snapshots where the exact wave has headroom
@@ -238,9 +243,7 @@ def main(argv=None) -> int:
         texts = {name: _csv_text(*table) for name, table in tables.items()}
         summary = {**_common_payload(cfg, args.command), **payload}
         texts["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        _write_outputs(
-            args.output or os.environ.get("NLWAVE_OUTPUT") or cfg.output_dir,
-            texts)
+        _write_outputs(args.output or cfg.output_dir, texts)
     except ValueError as exc:  # a ConfigError, or inputs a study refuses
         print(f"nlwave: config error: {exc}", file=sys.stderr)
         return 2

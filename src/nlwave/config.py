@@ -1,9 +1,10 @@
 """Run-configuration files: flat INI-style key-value sections.
 
 One file describes one study and loads into a ``RunConfig``, which is the
-library's ``StudyConfig`` plus the CLI's study lists, decay envelope and
-output directory.  Loading checks the INI format here and every value with
-the class that owns it, so a bad file fails with ``ConfigError`` before
+library's ``StudyConfig`` plus the CLI's study lists, decay rate and output
+directory.  Loading checks the INI format and the section and key names
+here, and every value with the class that owns it, so a bad file, or a
+section or key the loader does not read, fails with ``ConfigError`` before
 anything runs or is written.  Example::
 
     [equation]
@@ -37,7 +38,9 @@ anything runs or is written.  Example::
 Custom equations replace the bbm/rosenau keys with ``kernel_file`` (two
 whitespace-delimited columns, ``#`` comments), a ``nonlinearity`` term list
 ``power:coefficient, ...`` and an ``initial`` profile (``gaussian`` or
-``sech`` with amplitude/width/center keys).
+``sech`` with amplitude/width/center keys).  ``_KEYS`` and
+``_EQUATION_KEYS`` name every key read.  The decay envelope's scale comes
+from the equation and its constant from the t=0 state.
 """
 
 import configparser
@@ -61,14 +64,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig(StudyConfig):
-    """A study configuration plus the CLI's study lists, envelope and output."""
+    """A study configuration plus the CLI's study lists, decay rate and output."""
 
     output_dir: str = "nlwave-out"
     h_list: tuple[float, ...] = ()
     n_list: tuple[int, ...] = ()
     decay_rate: float | None = None
-    decay_scale: float | None = None
-    decay_constant: float | None = None
 
     def study(self) -> StudyConfig:
         """This config itself; ``perfbench/setup_probe.py`` still calls it."""
@@ -110,7 +111,7 @@ def _parse_nonlinearity(raw: str) -> Nonlinearity:
 
 
 class _InitialProfile:
-    """Picklable gaussian / sech bump used as custom initial data."""
+    """Gaussian or sech bump used as custom initial data."""
 
     def __init__(self, kind, amplitude, width, center):
         if kind not in ("gaussian", "sech"):
@@ -129,8 +130,46 @@ class _InitialProfile:
         return self.amplitude / np.cosh(z)
 
 
-def _build_problem(sec, base_dir: str) -> Problem:
-    kind = sec.get("kind", "").strip().lower()
+# The sections and keys the loader reads.  Any other name is refused, so a
+# misspelt key cannot leave a run on the default it meant to replace.
+_KEYS = {
+    "equation": {"kind", "blow_up_threshold"},
+    "grid": {"domain_half_width", "h"},
+    "time": {"t_end", "snapshots"},
+    "integrator": {"rel_tol", "abs_tol", "max_steps"},
+    "study": {"h_list", "n_list"},
+    "decay": {"rate"},
+    "output": {"dir"},
+}
+# The further [equation] keys each kind reads.
+_EQUATION_KEYS = {
+    "bbm": {"p", "c", "x0"},
+    "rosenau": {"x0"},
+    "custom": {"kernel_file", "nonlinearity", "initial", "initial_amplitude",
+               "initial_width", "initial_center"},
+}
+
+
+def _check_names(parser) -> str:
+    """Refuse sections and keys the loader does not read; returns the kind."""
+    for name in ("equation", "grid", "time"):
+        if not parser.has_section(name):
+            raise ConfigError(f"missing [{name}] section")
+    kind = parser["equation"].get("kind", "").strip().lower()
+    if kind not in _EQUATION_KEYS:
+        raise ConfigError(
+            f"equation kind must be bbm, rosenau or custom, got {kind!r}")
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        known = _KEYS[name] | (_EQUATION_KEYS[kind] if name == "equation" else set())
+        unknown = sorted(set(parser[name]) - known)
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]")
+    return kind
+
+
+def _build_problem(sec, kind: str, base_dir: str) -> Problem:
     if kind == "bbm":
         return bbm_problem(
             p=sec.getint("p", 1),
@@ -139,55 +178,49 @@ def _build_problem(sec, base_dir: str) -> Problem:
         )
     if kind == "rosenau":
         return rosenau_problem(x0=sec.getfloat("x0", -2.5))
-    if kind == "custom":
-        path = sec.get("kernel_file", "").strip()
-        if not path:
-            raise ConfigError("custom equations need a kernel_file")
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            raise ConfigError(f"kernel file not found: {path}")
-        tv = sec.getfloat("kernel_derivative_total_variation", fallback=None)
-        try:
-            kernel = kernel_from_file(path, derivative_total_variation=tv)
-        except ValueError as exc:
-            raise ConfigError(f"bad kernel file {path}: {exc}") from exc
-        raw_terms = sec.get("nonlinearity", "").strip()
-        if not raw_terms:
-            raise ConfigError("custom equations need a nonlinearity term list")
-        nl = _parse_nonlinearity(raw_terms)
-        profile = _InitialProfile(
-            sec.get("initial", "gaussian").strip().lower(),
-            sec.getfloat("initial_amplitude", 1.0),
-            sec.getfloat("initial_width", 1.0),
-            sec.getfloat("initial_center", 0.0),
-        )
-        return custom_problem(kernel, nl, profile)
-    raise ConfigError(f"equation kind must be bbm, rosenau or custom, got {kind!r}")
+    path = sec.get("kernel_file", "").strip()
+    if not path:
+        raise ConfigError("custom equations need a kernel_file")
+    if not os.path.isabs(path):
+        path = os.path.join(base_dir, path)
+    if not os.path.exists(path):
+        raise ConfigError(f"kernel file not found: {path}")
+    try:
+        kernel = kernel_from_file(path)
+    except ValueError as exc:
+        raise ConfigError(f"bad kernel file {path}: {exc}") from exc
+    raw_terms = sec.get("nonlinearity", "").strip()
+    if not raw_terms:
+        raise ConfigError("custom equations need a nonlinearity term list")
+    nl = _parse_nonlinearity(raw_terms)
+    profile = _InitialProfile(
+        sec.get("initial", "gaussian").strip().lower(),
+        sec.getfloat("initial_amplitude", 1.0),
+        sec.getfloat("initial_width", 1.0),
+        sec.getfloat("initial_center", 0.0),
+    )
+    return custom_problem(kernel, nl, profile)
 
 
 def load_run_config(path: str) -> RunConfig:
     """Parse a configuration file and check every value in it.
 
-    This function checks the INI format only; each value is checked by the
-    class that owns it (``Grid``, ``StudyConfig``, ``IntegratorConfig``,
-    ``DecayEnvelope``), and their ``ValueError`` becomes a ``ConfigError``.
+    This function checks the INI format and the section and key names
+    against ``_KEYS``; each value is checked by the class that owns it
+    (``Grid``, ``StudyConfig``, ``IntegratorConfig``, ``DecayEnvelope``),
+    and their ``ValueError`` becomes a ``ConfigError``.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file: {path}")
-    base_dir = os.path.dirname(os.path.abspath(path))
-
-    for name in ("equation", "grid", "time"):
-        if not parser.has_section(name):
-            raise ConfigError(f"missing [{name}] section")
 
     def section(name):
         return parser[name] if parser.has_section(name) else {}
 
     try:
-        problem = _build_problem(parser["equation"], base_dir)
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file: {path}")
+        kind = _check_names(parser)
+        problem = _build_problem(parser["equation"], kind,
+                                 os.path.dirname(os.path.abspath(path)))
         grid_sec, time_sec = parser["grid"], parser["time"]
         half = _get(grid_sec, "domain_half_width")
         h = _get(grid_sec, "h")
@@ -197,14 +230,14 @@ def load_run_config(path: str) -> RunConfig:
         if t_end is None:
             raise ConfigError("[time] needs t_end")
         integ = _present(section("integrator"), rel_tol="rel_tol",
-                         abs_tol="abs_tol", initial_step="initial_step",
-                         max_step="max_step", max_steps="max_steps")
+                         abs_tol="abs_tol", max_steps="max_steps")
         if "max_steps" in integ:
+            if integ["max_steps"] != int(integ["max_steps"]):
+                raise ConfigError("max_steps must be a whole number")
             integ["max_steps"] = int(integ["max_steps"])
-        decay = _present(section("decay"), rate="rate", scale="scale",
-                         constant="constant")
-        if "rate" in decay:
-            DecayEnvelope(**decay)
+        rate = _get(section("decay"), "rate")
+        if rate is not None:
+            DecayEnvelope(rate=rate)
         study_sec, out_sec = section("study"), section("output")
         cfg = RunConfig(
             problem=problem,
@@ -215,15 +248,15 @@ def load_run_config(path: str) -> RunConfig:
             integrator=IntegratorConfig(**integ),
             h_list=_float_list(study_sec.get("h_list", "")),
             n_list=_int_list(study_sec.get("n_list", "")),
+            decay_rate=rate,
             **_present(parser["equation"], blow_up_threshold="blow_up_threshold"),
-            **{f"decay_{key}": value for key, value in decay.items()},
             **({"output_dir": out_sec["dir"]} if "dir" in out_sec else {}),
         )
         cfg.grid()
         cfg.sweep_grids(cfg.h_list, cfg.n_list)
     except ConfigError:
         raise
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 

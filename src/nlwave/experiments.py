@@ -143,14 +143,9 @@ class StudyConfig:
         return ([self.grid(h=h) for h in h_values]
                 + [self.grid(n_half=n) for n in n_values])
 
-    def snapshots(self) -> tuple[float, ...]:
-        if self.snapshot_times:
-            return tuple(self.snapshot_times)
-        return (0.0, self.t_end) if self.t_end > 0 else (0.0,)
-
 
 def run_single(cfg: StudyConfig, grid: Grid):
-    """Integrate one configuration; returns (trajectory, record, wall_time).
+    """Integrate one configuration; returns (trajectory, record).
 
     The record's error field is NaN when the problem has no exact-solution
     oracle; study drivers fill it by self-refinement in that case.
@@ -170,7 +165,8 @@ def run_single(cfg: StudyConfig, grid: Grid):
     else:
         raise ValueError("the problem carries neither a wave nor an initial profile")
     start = time.perf_counter()
-    traj = integrate(system, init, cfg.t_end, cfg.snapshots(), cfg.integrator)
+    traj = integrate(system, init, cfg.t_end, cfg.snapshot_times or None,
+                     cfg.integrator)
     wall = time.perf_counter() - start
     err = (
         linf_error(traj.final, problem.wave, traj.times[-1])
@@ -194,7 +190,6 @@ class ProfileStudy:
 
     trajectory: Trajectory
     record: ErrorRecord
-    exact_final: SampledSequence | None
     mass_initial: float
     mass_final: float
 
@@ -206,18 +201,11 @@ class ProfileStudy:
 
 
 def run_profile_study(cfg: StudyConfig) -> ProfileStudy:
-    """One run at the configured resolution, with exact overlays."""
-    grid = cfg.grid()
-    traj, record = run_single(cfg, grid)
-    exact_final = None
-    if cfg.problem.wave is not None:
-        exact_final = SampledSequence(
-            grid, evaluate_solitary(cfg.problem.wave, grid.nodes, traj.times[-1])
-        )
+    """One run at the configured resolution."""
+    traj, record = run_single(cfg, cfg.grid())
     return ProfileStudy(
         trajectory=traj,
         record=record,
-        exact_final=exact_final,
         mass_initial=discrete_mass(traj.states[0]),
         mass_final=discrete_mass(traj.final),
     )

@@ -8,7 +8,7 @@ safety factor 0.9 and ratio clamp [0.2, 5].
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +52,10 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and step limits for the adaptive integrator."""
+    """Tolerances and step budget for the adaptive integrator."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    initial_step: float | None = None
-    max_step: float = math.inf
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -65,10 +63,6 @@ class IntegratorConfig:
             tol = getattr(self, name)
             if not (0.0 < tol < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if self.initial_step is not None and not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -81,12 +75,6 @@ class Trajectory:
     states: tuple[SampledSequence, ...]
     accepted_steps: int
     rejected_steps: int
-
-    def state_at(self, t: float) -> SampledSequence:
-        for ti, s in zip(self.times, self.states):
-            if ti == t:
-                return s
-        raise KeyError(f"no snapshot recorded at t={t}")
 
     @property
     def final(self) -> SampledSequence:
@@ -162,19 +150,16 @@ def integrate(
 
     k = np.empty((7, y.size))
     k[0] = f(y)
-    h = cfg.initial_step or _initial_step_heuristic(
-        f, y, k[0], cfg.rel_tol, cfg.abs_tol
-    )
-    h = min(h, cfg.max_step, targets[-1])
+    h = min(_initial_step_heuristic(f, y, k[0], cfg.rel_tol, cfg.abs_tol),
+            targets[-1])
 
     ti = 0
     while ti < len(targets):
         if accepted + rejected >= cfg.max_steps:
             raise StepFailureError(f"exceeded max_steps={cfg.max_steps}")
         target = targets[ti]
-        h_prop = min(h, cfg.max_step)
-        clipped = t + h_prop >= target
-        h_use = target - t if clipped else h_prop
+        clipped = t + h >= target
+        h_use = target - t if clipped else h
         if h_use <= 16.0 * np.finfo(float).eps * max(abs(t), 1.0):
             raise StepFailureError(f"step size underflow at t={t:.17g}")
 

@@ -194,15 +194,14 @@ def _piecewise_linear_second_tv(nodes, values):
 def tabulated_kernel(
     nodes,
     values,
-    derivative_total_variation: float | None = None,
     smoothness_class: SmoothnessClass = SmoothnessClass.ORDER_ONE,
     name: str = "tabulated",
 ) -> Kernel:
     """Kernel defined by linear interpolation of ``(nodes, values)`` samples.
 
-    Evaluates to zero outside ``[nodes[0], nodes[-1]]``.  When the
-    first-derivative total variation is not supplied it is computed exactly
-    from the table (slopes plus endpoint jumps to zero).  Declaring
+    Evaluates to zero outside ``[nodes[0], nodes[-1]]``.  The
+    first-derivative total variation is computed exactly from the table
+    (slopes plus endpoint jumps to zero).  Declaring
     ORDER_TWO requires both endpoint values to vanish, otherwise the
     zero-extension is not W^{1,1}; the second-derivative total variation is
     then the exact sum of slope-change point masses.
@@ -217,10 +216,6 @@ def tabulated_kernel(
         raise ValueError("tabulation nodes must be strictly increasing")
     if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(values)):
         raise ValueError("tabulation data must be finite")
-    if derivative_total_variation is None:
-        derivative_total_variation = _piecewise_linear_tv(nodes, values)
-    elif derivative_total_variation < 0:
-        raise ValueError("derivative total variation must be nonnegative")
     second_tv = None
     if smoothness_class is SmoothnessClass.ORDER_TWO:
         if values[0] != 0.0 or values[-1] != 0.0:
@@ -230,7 +225,7 @@ def tabulated_kernel(
         second_tv = _piecewise_linear_second_tv(nodes, values)
     return Kernel(
         evaluate=_TabulatedEvaluate(nodes.copy(), values.copy()),
-        derivative_total_variation=float(derivative_total_variation),
+        derivative_total_variation=float(_piecewise_linear_tv(nodes, values)),
         l1_norm=_piecewise_linear_l1(nodes, values),
         smoothness_class=smoothness_class,
         second_derivative_total_variation=second_tv,
@@ -238,7 +233,7 @@ def tabulated_kernel(
     )
 
 
-def kernel_from_file(path, derivative_total_variation=None, name=None) -> Kernel:
+def kernel_from_file(path, name=None) -> Kernel:
     """Load a tabulated kernel from a two-column whitespace text file.
 
     Column one is the abscissa, column two the kernel value; ``#`` starts a
@@ -247,9 +242,4 @@ def kernel_from_file(path, derivative_total_variation=None, name=None) -> Kernel
     data = np.loadtxt(path, comments="#", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"kernel file {path} must have exactly two columns")
-    return tabulated_kernel(
-        data[:, 0],
-        data[:, 1],
-        derivative_total_variation=derivative_total_variation,
-        name=name or "file",
-    )
+    return tabulated_kernel(data[:, 0], data[:, 1], name=name or "file")

@@ -20,8 +20,6 @@ __all__ = [
     "Nonlinearity",
     "TruncatedSystem",
     "build_system",
-    "rhs",
-    "apply_nonlinearity",
     "discrete_mass",
     "convolve_rhs_direct",
     "DEFAULT_BLOW_UP_THRESHOLD",
@@ -190,21 +188,6 @@ def build_system(
             f"derivative total variation {kernel.derivative_total_variation:.12g}"
         )
     return system
-
-
-def rhs(system: TruncatedSystem, state: SampledSequence) -> SampledSequence:
-    """Evaluate the truncated right-hand side at a state."""
-    if state.grid != system.grid:
-        raise ValueError("state grid does not match the system grid")
-    return SampledSequence(system.grid, system.rhs_values(state.values))
-
-
-def apply_nonlinearity(nl: Nonlinearity, state: SampledSequence) -> SampledSequence:
-    """Entrywise ``f(v)``; non-finite results raise BlowUpError."""
-    out = nl.evaluate_values(state.values)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("nonlinearity overflowed to non-finite values")
-    return SampledSequence(state.grid, out)
 
 
 def discrete_mass(state: SampledSequence) -> float:

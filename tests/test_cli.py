@@ -3,22 +3,26 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 import nlwave.cli
+import nlwave.config
 from nlwave.cli import main
 from nlwave.config import ConfigError, load_run_config
 
+BBM_EQUATION = "kind = bbm\np = 1\nc = 1.8\nx0 = -3.0"
+CUSTOM_EQUATION = "kind = custom\nkernel_file = kernel.txt\nnonlinearity = 1:1.0"
+TRIANGLE_KERNEL = "-1 0\n0 1\n1 0\n"
+
 FAST_BBM = """
 [equation]
-kind = bbm
-p = 1
-c = 1.8
-x0 = -3.0
+{equation}
 
 [grid]
 domain_half_width = {half}
@@ -46,9 +50,14 @@ dir = {outdir}
 
 def write_config(tmp_path, name="run.ini", t_end=1.0, snapshots="",
                  h_list="0.5, 0.25", n_list="32, 48", rate=0.5, outdir=None,
-                 half=12.0, h=0.25):
+                 half=12.0, h=0.25, equation=BBM_EQUATION, extra=None,
+                 kernel=None):
+    """Write the base config with the given values; ``extra`` maps a section
+    to lines added to it (a new section when the base has none), and
+    ``kernel`` is written to ``kernel.txt`` beside the config."""
     outdir = outdir or str(tmp_path / "out")
     cfg = FAST_BBM.format(
+        equation=equation,
         half=half,
         h=h,
         t_end=t_end,
@@ -58,6 +67,14 @@ def write_config(tmp_path, name="run.ini", t_end=1.0, snapshots="",
         rate=rate,
         outdir=outdir,
     )
+    for section, lines in (extra or {}).items():
+        header = f"[{section}]\n"
+        if header in cfg:
+            cfg = cfg.replace(header, header + lines + "\n")
+        else:
+            cfg += header + lines + "\n"
+    if kernel is not None:
+        (tmp_path / "kernel.txt").write_text(kernel)
     path = tmp_path / name
     path.write_text(cfg)
     return str(path), outdir
@@ -105,12 +122,17 @@ class TestSimulate:
                      str(override)]) == 0
         assert (override / "summary.json").exists()
 
-    def test_env_output_override(self, tmp_path, monkeypatch):
-        cfg, _ = write_config(tmp_path)
-        target = tmp_path / "from-env"
-        monkeypatch.setenv("NLWAVE_OUTPUT", str(target))
+    def test_rerun_removes_stale_outputs(self, tmp_path):
+        cfg, outdir = write_config(tmp_path, t_end=1.0, snapshots="0, 0.5, 1")
         assert main(["simulate", "--config", cfg]) == 0
-        assert (target / "summary.json").exists()
+        with open(os.path.join(outdir, "notes.txt"), "w") as fh:
+            fh.write("not an nlwave output\n")
+        cfg, _ = write_config(tmp_path, t_end=1.0, snapshots="0, 1")
+        assert main(["simulate", "--config", cfg]) == 0
+        summary = json.load(open(os.path.join(outdir, "summary.json")))
+        assert summary["profiles"] == ["profile_00_t0.csv", "profile_01_t1.csv"]
+        assert sorted(os.listdir(outdir)) == sorted(
+            summary["profiles"] + ["notes.txt", "summary.json"])
 
     def test_failed_write_leaves_previous_output(self, tmp_path, monkeypatch,
                                                  capsys):
@@ -205,6 +227,32 @@ class TestValidation:
         "rate-above-one": ("decay", dict(rate=1.5)),
         # N = 4e15: refused on construction, long before any allocation
         "oversize-grid": ("simulate", dict(half=1e15)),
+        # keys and sections the loader does not read, removed ones included
+        "initial_step": ("simulate",
+                         dict(extra={"integrator": "initial_step = 0.01"})),
+        "max_step": ("simulate", dict(extra={"integrator": "max_step = 0.1"})),
+        "decay-scale": ("decay", dict(extra={"decay": "scale = 2.0"})),
+        "decay-constant": ("decay", dict(extra={"decay": "constant = 5.0"})),
+        "kernel-tv": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL,
+            equation=CUSTOM_EQUATION + "\nkernel_derivative_total_variation = 5")),
+        "misspelt-key": ("simulate", dict(extra={"integrator": "rel_tl = 1e-3"})),
+        "unknown-section": ("simulate", dict(extra={"outptu": "dir = elsewhere"})),
+        "key-of-another-kind": ("simulate", dict(
+            equation="kind = rosenau\nx0 = -2.5\np = 2")),
+        "fractional-max_steps": ("simulate",
+                                 dict(extra={"integrator": "max_steps = 100000.5"})),
+        "duplicate-key": ("simulate", dict(extra={"grid": "h = 0.5"})),
+        # custom kernel files the tabulated-kernel loader refuses
+        "kernel-nan": ("simulate", dict(kernel="-1 0\n0 nan\n1 0\n",
+                                        equation=CUSTOM_EQUATION)),
+        "kernel-inf": ("simulate", dict(kernel="-1 0\n0 inf\n1 0\n",
+                                        equation=CUSTOM_EQUATION)),
+        "kernel-duplicate-node": ("simulate", dict(
+            kernel="-1 0\n0 1\n0 1\n1 0\n", equation=CUSTOM_EQUATION)),
+        "kernel-comments-only": ("simulate", dict(
+            kernel="# x value\n# no rows\n", equation=CUSTOM_EQUATION)),
+        "kernel-empty": ("simulate", dict(kernel="", equation=CUSTOM_EQUATION)),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -215,7 +263,7 @@ class TestValidation:
             load_run_config(cfg)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("nlwave: config error: ")
-        assert os.listdir(tmp_path) == ["run.ini"]
+        assert set(os.listdir(tmp_path)) <= {"run.ini", "kernel.txt"}
 
 
 class TestConverge:
@@ -408,6 +456,35 @@ class TestShippedConfigs:
         assert (max(plateau) - min(plateau)) / min(plateau) < 0.10
         summary = json.load(open(tmp_path / "summary.json"))
         assert 220 <= summary["plateau_onset"] <= 320
+
+
+def readme_example():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        return re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+
+
+def docstring_example():
+    block = nlwave.config.__doc__.split("::\n\n", 1)[1]
+    lines = []
+    for line in block.splitlines():
+        if line and not line.startswith("    "):
+            break
+        lines.append(line)
+    return textwrap.dedent("\n".join(lines))
+
+
+class TestDocumentedExamples:
+    # unknown keys are refused, so an example that loads names only keys
+    # the loader reads
+    @pytest.mark.parametrize("example", [readme_example, docstring_example],
+                             ids=["readme", "config-docstring"])
+    def test_example_loads(self, tmp_path, example):
+        path = tmp_path / "example.ini"
+        path.write_text(re.sub(r"[ \t]*;.*", "", example()))
+        cfg = load_run_config(str(path))
+        assert cfg.problem.name == "bbm"
+        assert cfg.decay_rate == 0.9
+        assert os.listdir(tmp_path) == ["example.ini"]
 
 
 class TestEntryPoint:

@@ -109,9 +109,6 @@ class TestStudyConfig:
         with pytest.raises(ValueError):  # an infinite ratio, not an overflow
             short_bbm_config(domain_half_width=math.inf).grid()
 
-    def test_default_snapshots(self):
-        assert short_bbm_config().snapshots() == (0.0, 2.0)
-
 
 class TestProfileStudy:
     def test_short_run_fields(self):
@@ -120,12 +117,11 @@ class TestProfileStudy:
         assert study.record.t == 2.0
         assert 0.0 < study.record.linf_error < 0.1
         assert study.record.accepted_steps > 0
-        assert study.exact_final is not None
         # the short asymmetric run leaks a little mass through the nearby
         # boundary; acceptance criterion 8 checks that the drift equals the
         # integrated boundary flux
         assert study.relative_mass_drift < 2e-3
-        # the trajectory carries initial and final snapshots
+        # without snapshot times the trajectory carries t=0 and t_end
         assert study.trajectory.times == (0.0, 2.0)
 
     def test_zero_horizon_zero_error(self):

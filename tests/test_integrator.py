@@ -52,10 +52,6 @@ class TestConfigValidation:
     def test_step_limits(self):
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_step=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(initial_step=0.0)
 
 
 class TestBasicContracts:
@@ -72,9 +68,7 @@ class TestBasicContracts:
         init = SampledSequence(system.grid, np.ones(3))
         traj = integrate(system, init, 1.0, snapshots=[0.25, 0.5, 1.0])
         assert traj.times == (0.0, 0.25, 0.5, 1.0)
-        assert traj.state_at(0.25) is traj.states[1]
-        with pytest.raises(KeyError):
-            traj.state_at(0.3)
+        assert len(traj.states) == 4
 
     def test_unsorted_snapshots_rejected(self):
         system = decay_stub()
@@ -159,16 +153,11 @@ class TestStepControl:
     def test_max_steps_exceeded(self):
         system = decay_stub()
         init = SampledSequence(system.grid, np.ones(3))
-        cfg = IntegratorConfig(max_steps=3, max_step=1e-4)
+        cfg = IntegratorConfig(max_steps=3)
+        # four snapshots after t=0 take at least four steps
         with pytest.raises(StepFailureError):
-            integrate(system, init, 1.0, config=cfg)
-
-    def test_max_step_respected(self):
-        system = decay_stub()
-        init = SampledSequence(system.grid, np.ones(3))
-        cfg = IntegratorConfig(max_step=0.01)
-        traj = integrate(system, init, 1.0, config=cfg)
-        assert traj.accepted_steps >= 100
+            integrate(system, init, 1.0, snapshots=[0.25, 0.5, 0.75, 1.0],
+                      config=cfg)
 
     def test_blow_up_propagates(self):
         # growth stub u' = +u^2 from u0 = 3 blows past the guard before t=2
@@ -181,10 +170,3 @@ class TestStepControl:
         init = SampledSequence(g, [3.0, 3.0, 3.0])
         with pytest.raises(BlowUpError):
             integrate(system, init, 2.0)
-
-    def test_fixed_initial_step_is_honored(self):
-        system = decay_stub()
-        init = SampledSequence(system.grid, np.ones(3))
-        cfg = IntegratorConfig(initial_step=1e-3)
-        traj = integrate(system, init, 1.0, config=cfg)
-        assert np.max(np.abs(traj.final.values - math.exp(-1.0))) < 1e-8

@@ -165,9 +165,6 @@ class TestTabulatedKernel:
         with pytest.raises(ValueError):
             tabulated_kernel([0.0, 1.0], [1.0])  # length mismatch
         with pytest.raises(ValueError):
-            tabulated_kernel([0.0, 1.0], [1.0, 0.0],
-                             derivative_total_variation=-1.0)
-        with pytest.raises(ValueError):
             tabulated_kernel([0.0], [1.0])  # too short
 
     def test_restriction_of_tabulated_kernel(self):

@@ -12,13 +12,11 @@ from nlwave import (
     Nonlinearity,
     SampledSequence,
     TruncatedSystem,
-    apply_nonlinearity,
     bbm_kernel,
     bbm_solitary,
     build_system,
     discrete_mass,
     initial_data,
-    rhs,
     rosenau_kernel,
 )
 from nlwave.system import convolve_rhs_direct
@@ -125,18 +123,18 @@ class TestRhs:
     def test_zero_state_gives_zero(self):
         g = Grid(h=0.5, n_half=10)
         system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
-        out = rhs(system, SampledSequence(g, np.zeros(g.node_count)))
-        assert np.all(out.values == 0.0)
+        out = system.rhs_values(np.zeros(g.node_count))
+        assert np.all(out == 0.0)
 
     def test_single_unit_entry_linear_f(self):
         g = Grid(h=0.5, n_half=6)
         system = build_system(bbm_kernel(), g, Nonlinearity(((1, 1.0),)))
         v = np.zeros(g.node_count)
         v[g.n_half] = 1.0
-        out = rhs(system, SampledSequence(g, v))
+        out = system.rhs_values(v)
         # rhs_i = -h * stencil_i for the unit impulse at the origin
         lags = system.stencil[g.n_half : 3 * g.n_half + 1]
-        np.testing.assert_allclose(out.values, -g.h * lags, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out, -g.h * lags, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("fast_mode", ["on", "off"])
     def test_matches_double_loop_oracle(self, fast_mode):
@@ -166,13 +164,6 @@ class TestRhs:
                              Nonlinearity.bbm(1))
         assert not small.use_fast
         assert large.use_fast
-
-    def test_grid_mismatch(self):
-        system = build_system(bbm_kernel(), Grid(h=0.5, n_half=4),
-                              Nonlinearity.bbm(1))
-        state = SampledSequence(Grid(h=0.25, n_half=4), np.zeros(9))
-        with pytest.raises(ValueError):
-            rhs(system, state)
 
     def test_blow_up_guard_on_threshold(self):
         g = Grid(h=0.5, n_half=4)
@@ -240,19 +231,28 @@ class TestRhs:
                             nonlinearity=Nonlinearity(((1, 1.0),)))
 
 
+def identity_stub(nonlinearity):
+    """Stub system whose stencil -1/h at lag zero makes rhs = f(v)."""
+    g = Grid(h=1.0, n_half=1)
+    stencil = np.zeros(5)
+    stencil[2] = -1.0 / g.h
+    return TruncatedSystem(grid=g, stencil=stencil, nonlinearity=nonlinearity,
+                           blow_up_threshold=math.inf)
+
+
 class TestApplyNonlinearity:
+    """The right-hand side applies f entrywise and refuses its overflow."""
+
     def test_entrywise(self):
-        g = Grid(h=1.0, n_half=1)
-        out = apply_nonlinearity(Nonlinearity.bbm(1),
-                                 SampledSequence(g, [0.0, 2.0, -1.0]))
-        np.testing.assert_allclose(out.values, [0.0, 6.0, 0.0])
+        system = identity_stub(Nonlinearity.bbm(1))
+        out = system.rhs_values(np.array([0.0, 2.0, -1.0]))
+        np.testing.assert_allclose(out, [0.0, 6.0, 0.0])
 
     def test_overflow_raises(self):
-        g = Grid(h=1.0, n_half=1)
-        state = SampledSequence(g, [0.0, 1e200, 0.0])
+        system = identity_stub(Nonlinearity(((3, 1.0),)))
         with pytest.raises(BlowUpError):
             with np.errstate(over="ignore"):
-                apply_nonlinearity(Nonlinearity(((3, 1.0),)), state)
+                system.rhs_values(np.array([0.0, 1e200, 0.0]))
 
 
 class TestDiscreteMass:
