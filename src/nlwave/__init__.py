@@ -19,16 +19,7 @@ from .analytic import (
     initial_data,
     rosenau_solitary,
 )
-from .discrete import (
-    Grid,
-    SampledSequence,
-    central_difference,
-    discrete_convolution,
-    fft_convolve,
-    lp_norm,
-    quadrature_error_probe,
-    restrict,
-)
+from .discrete import Grid, SampledSequence, restrict
 from .experiments import (
     DegenerateRateError,
     ErrorRecord,
@@ -75,15 +66,10 @@ __all__ = [
     "rosenau_kernel",
     "tabulated_kernel",
     "kernel_from_file",
-    # discrete operators
+    # grid and sampling
     "Grid",
     "SampledSequence",
     "restrict",
-    "discrete_convolution",
-    "central_difference",
-    "lp_norm",
-    "quadrature_error_probe",
-    "fft_convolve",
     # system
     "Nonlinearity",
     "TruncatedSystem",

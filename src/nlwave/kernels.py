@@ -1,10 +1,11 @@
 """Convolution kernels: point evaluation plus derivative-measure metadata.
 
 A kernel carries the total variation of its first derivative (and of the
-second derivative when that is a finite measure), its L1 norm and a
-declared smoothness class.  The smoothness class selects the convergence
-order the experiment harness reports as expected; it is declared by the
-constructor, never inferred from samples.
+second derivative when that is a finite measure) and a declared smoothness
+class.  The first-derivative total variation bounds the stencil norm that
+``build_system`` checks.  The smoothness class names the convergence order
+the paper proves for the kernel (linear or quadratic); it is declared by
+the constructor, never inferred from samples, and no study reads it yet.
 
 Point values follow the right-continuous convention ``beta(x) = mu((-inf, x])``
 at jumps of ``beta``.  Both built-in kernels are continuous, so for them the
@@ -35,10 +36,8 @@ _SQRT2 = math.sqrt(2.0)
 # adaptive quadrature between the integrand's sign changes, cross-checked
 # in the test suite against scipy.integrate.quad and the closed form
 # |mu| = sqrt(2)/2 * coth(pi/2)):
-#   l1   = integral of |beta|          (beta changes sign; plain integral is 1)
 #   mu   = total variation of beta'    (beta' is absolutely continuous)
 #   nu   = total variation of beta''   (beta'' is absolutely continuous)
-_ROSENAU_L1 = 1.1400934670509761
 _ROSENAU_MU = 0.7709807342660168
 _ROSENAU_NU = 0.6739164544697352
 
@@ -65,8 +64,6 @@ class Kernel:
         Vectorized point evaluation ``x -> beta(x)``.
     derivative_total_variation : float
         Total variation ``|mu|(R)`` of the measure ``mu = beta'``.
-    l1_norm : float
-        ``integral |beta| dx``.
     smoothness_class : SmoothnessClass
         Declared error-order class.
     second_derivative_total_variation : float or None
@@ -78,7 +75,6 @@ class Kernel:
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative_total_variation: float
-    l1_norm: float
     smoothness_class: SmoothnessClass
     second_derivative_total_variation: float | None = None
     name: str = "kernel"
@@ -86,8 +82,6 @@ class Kernel:
     def __post_init__(self):
         if self.derivative_total_variation < 0:
             raise ValueError("derivative total variation must be nonnegative")
-        if self.l1_norm < 0:
-            raise ValueError("l1 norm must be nonnegative")
         if self.smoothness_class is SmoothnessClass.ORDER_TWO:
             if self.second_derivative_total_variation is None:
                 raise ValueError(
@@ -113,14 +107,13 @@ def bbm_kernel() -> Kernel:
     """Exponential kernel ``beta(x) = exp(-|x|) / 2``.
 
     Green's function of ``1 - d^2/dx^2``.  The metadata is analytic:
-    ``|beta|_L1 = 1``; ``beta' = -sign(x) beta`` so ``|mu|(R) = 1``;
+    ``beta' = -sign(x) beta`` so ``|mu|(R) = 1``;
     ``beta'' = beta - delta_0`` so ``|nu|(R) = 2`` (unit point mass at the
     origin plus the density ``beta``).
     """
     return Kernel(
         evaluate=_bbm_evaluate,
         derivative_total_variation=1.0,
-        l1_norm=1.0,
         smoothness_class=SmoothnessClass.ORDER_TWO,
         second_derivative_total_variation=2.0,
         name="bbm",
@@ -131,14 +124,12 @@ def rosenau_kernel() -> Kernel:
     """Oscillatory-exponential kernel of ``1 + d^4/dx^4``.
 
     ``beta(x) = exp(-|x|/sqrt2) (cos(|x|/sqrt2) + sin(|x|/sqrt2)) / (2 sqrt2)``.
-    The kernel changes sign, so its L1 norm (about 1.14) exceeds its plain
-    integral (exactly 1).  Metadata constants come from the quadrature
-    oracle documented at the top of this module.
+    The kernel changes sign but integrates to exactly 1.  Metadata constants
+    come from the quadrature oracle documented at the top of this module.
     """
     return Kernel(
         evaluate=_rosenau_evaluate,
         derivative_total_variation=_ROSENAU_MU,
-        l1_norm=_ROSENAU_L1,
         smoothness_class=SmoothnessClass.ORDER_TWO,
         second_derivative_total_variation=_ROSENAU_NU,
         name="rosenau",
@@ -161,20 +152,6 @@ class _TabulatedEvaluate:
         if out.ndim == 0:
             return float(out)
         return out
-
-
-def _piecewise_linear_l1(nodes, values):
-    # Exact integral of |interpolant|, splitting segments at zero crossings.
-    total = 0.0
-    for i in range(len(nodes) - 1):
-        x0, x1 = nodes[i], nodes[i + 1]
-        y0, y1 = values[i], values[i + 1]
-        if y0 * y1 >= 0.0:
-            total += 0.5 * (abs(y0) + abs(y1)) * (x1 - x0)
-        else:
-            xc = x0 + (x1 - x0) * abs(y0) / (abs(y0) + abs(y1))
-            total += 0.5 * abs(y0) * (xc - x0) + 0.5 * abs(y1) * (x1 - xc)
-    return total
 
 
 def _piecewise_linear_tv(nodes, values):
@@ -226,7 +203,6 @@ def tabulated_kernel(
     return Kernel(
         evaluate=_TabulatedEvaluate(nodes.copy(), values.copy()),
         derivative_total_variation=float(_piecewise_linear_tv(nodes, values)),
-        l1_norm=_piecewise_linear_l1(nodes, values),
         smoothness_class=smoothness_class,
         second_derivative_total_variation=second_tv,
         name=name,
@@ -239,7 +215,11 @@ def kernel_from_file(path, name=None) -> Kernel:
     Column one is the abscissa, column two the kernel value; ``#`` starts a
     comment.  Rows must be sorted by abscissa.
     """
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    with open(path) as fh:
+        lines = fh.readlines()
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError(f"kernel file {path} holds no data rows")
+    data = np.loadtxt(lines, comments="#", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"kernel file {path} must have exactly two columns")
     return tabulated_kernel(data[:, 0], data[:, 1], name=name or "file")

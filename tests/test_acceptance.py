@@ -37,14 +37,11 @@ from nlwave import (
     bbm_kernel,
     build_system,
     calibrate_envelope,
-    central_difference,
     check_decay,
     evaluate_solitary,
     fit_observed_order,
     integrate,
-    lp_norm,
     plateau_onset,
-    quadrature_error_probe,
     restrict,
     rosenau_kernel,
     run_h_refinement,
@@ -171,13 +168,20 @@ def test_criterion_02_rosenau_convergence(rosenau_runs):
     )
 
 
-def test_supplement_rosenau_resolved_range_rates():
-    # Same protocol, one octave finer: the quadratic rate is attained.
-    entries = run_h_refinement(rosenau_config(0.05), [0.05, 0.025, 0.0125])
-    rates = [rate.rho for _, rate in entries if rate is not None]
+def test_supplement_rosenau_resolved_range_rates(rosenau_runs):
+    # The fixture's meshes one octave below the pinned ones: the quadratic
+    # rate is attained.
+    rates = rates_from_runs(rosenau_runs, (0.05, 0.025, 0.0125))
     ok = all(RATE_WINDOW[0] <= r <= RATE_WINDOW[1] for r in rates)
     announce("2s", ok, f"resolved-range rates {[f'{r:.4f}' for r in rates]}")
     assert ok
+    # run_h_refinement's error and rate bookkeeping, on the cheap meshes:
+    # the same runs, so the same numbers bit for bit.
+    hs = [0.2, 0.1]
+    entries = run_h_refinement(rosenau_config(0.2), hs)
+    assert [rec.linf_error for rec, _ in entries] == [
+        rosenau_runs[h].record.linf_error for h in hs]
+    assert [rate.rho for _, rate in entries[1:]] == rates_from_runs(rosenau_runs, hs)
 
 
 def test_criterion_03_truncation_plateau(truncation_sweep):
@@ -201,15 +205,29 @@ def test_criterion_03_truncation_plateau(truncation_sweep):
 
 
 def test_criterion_04_stencil_norm_bound():
+    # the stencil the runs use, over all 4N+1 lags
     worst = 0.0
     for kernel in (bbm_kernel(), rosenau_kernel()):
         for h in (0.5, 0.25, 0.1, 0.05):
             grid = Grid(h=h, n_half=int(round(40.0 / h)))
-            d = central_difference(restrict(kernel.evaluate, grid))
-            margin = lp_norm(d, 1) - kernel.derivative_total_variation
+            norm = build_system(kernel, grid, Nonlinearity.bbm(1)).stencil_l1()
+            margin = norm - kernel.derivative_total_variation
             worst = max(worst, margin)
-            assert lp_norm(d, 1) <= kernel.derivative_total_variation + 1e-10
+            assert norm <= kernel.derivative_total_variation + 1e-10
     announce(4, True, f"worst norm-minus-bound margin {worst:.3e} (<= 1e-10)")
+
+
+def rectangle_defect(fn, grid, reference):
+    """|reference - sum_i h fn(x_i)|, the rectangle-sum quadrature defect."""
+    return abs(reference - grid.h * float(np.sum(restrict(fn, grid).values)))
+
+
+def central_difference_error(grid):
+    """Worst gap between the central differences of sin and cos at the
+    interior nodes."""
+    s = restrict(np.sin, grid).values
+    d = (s[2:] - s[:-2]) / (2.0 * grid.h)
+    return float(np.max(np.abs(d - np.cos(grid.nodes[1:-1]))))
 
 
 def test_criterion_05_quadrature_orders():
@@ -217,8 +235,8 @@ def test_criterion_05_quadrature_orders():
 
     def probe(fn, reference):
         return [
-            quadrature_error_probe(fn, Grid(h=h, n_half=int(round(40.0 / h))),
-                                   reference)
+            rectangle_defect(fn, Grid(h=h, n_half=int(round(40.0 / h))),
+                             reference)
             for h in hs
         ]
 
@@ -232,12 +250,11 @@ def test_criterion_05_quadrature_orders():
                  limit=200)
     bound_ok = all(e <= h * h * nu for h, e in zip(hs, gauss_errs))
 
-    sine_ok = True
-    for h in hs:
-        grid = Grid(h=h, n_half=int(round(4.0 / h)))
-        d = central_difference(restrict(np.sin, grid))
-        err = np.max(np.abs(d.values[1:-1] - np.cos(grid.nodes[1:-1])))
-        sine_ok &= err <= h * h / 6.0
+    sine_ok = all(
+        central_difference_error(Grid(h=h, n_half=int(round(4.0 / h))))
+        <= h * h / 6.0
+        for h in hs
+    )
 
     ok = kink_order >= 1.0 and gauss_order >= 2.0 and bound_ok and sine_ok
     announce(5, ok, f"kink order {kink_order:.2f} (>=1), smooth order "

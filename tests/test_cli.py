@@ -88,6 +88,16 @@ def read_csv(path):
     return header, rows
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 class TestSimulate:
     def test_profiles_and_summary(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=1.0, snapshots="0, 0.5, 1")
@@ -102,7 +112,7 @@ class TestSimulate:
         # t = 0 profile: numeric equals exact sample for sample
         for row in rows:
             assert row[1] == row[2]
-        summary = json.load(open(os.path.join(outdir, "summary.json")))
+        summary = read_json(os.path.join(outdir, "summary.json"))
         assert summary["command"] == "simulate"
         assert summary["linf_error"] > 0.0
         assert summary["snapshot_times"] == [0.0, 0.5, 1.0]
@@ -112,7 +122,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         profiles = [f for f in os.listdir(outdir) if f.startswith("profile_")]
         assert len(profiles) == 1
-        summary = json.load(open(os.path.join(outdir, "summary.json")))
+        summary = read_json(os.path.join(outdir, "summary.json"))
         assert summary["linf_error"] == 0.0
 
     def test_output_override(self, tmp_path):
@@ -129,7 +139,7 @@ class TestSimulate:
             fh.write("not an nlwave output\n")
         cfg, _ = write_config(tmp_path, t_end=1.0, snapshots="0, 1")
         assert main(["simulate", "--config", cfg]) == 0
-        summary = json.load(open(os.path.join(outdir, "summary.json")))
+        summary = read_json(os.path.join(outdir, "summary.json"))
         assert summary["profiles"] == ["profile_00_t0.csv", "profile_01_t1.csv"]
         assert sorted(os.listdir(outdir)) == sorted(
             summary["profiles"] + ["notes.txt", "summary.json"])
@@ -138,7 +148,7 @@ class TestSimulate:
                                                  capsys):
         cfg, outdir = write_config(tmp_path, t_end=0.5)
         assert main(["simulate", "--config", cfg]) == 0
-        before = {f: open(os.path.join(outdir, f), "rb").read()
+        before = {f: read_bytes(os.path.join(outdir, f))
                   for f in os.listdir(outdir)}
         # a coarser grid: every file of the second run differs from the first
         cfg, _ = write_config(tmp_path, t_end=0.5, h=0.5)
@@ -155,7 +165,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 1
         assert len(opened) == 2
         assert "i/o error" in capsys.readouterr().err
-        after = {f: open(os.path.join(outdir, f), "rb").read()
+        after = {f: read_bytes(os.path.join(outdir, f))
                  for f in os.listdir(outdir)}
         assert after == before
         assert sorted(os.listdir(tmp_path)) == ["out", "run.ini"]  # no temp dir
@@ -164,13 +174,13 @@ class TestSimulate:
         cfg, outdir = write_config(tmp_path, t_end=1.0, snapshots="0, 1")
         assert main(["simulate", "--config", cfg]) == 0
         first = {
-            f: open(os.path.join(outdir, f), "rb").read()
+            f: read_bytes(os.path.join(outdir, f))
             for f in os.listdir(outdir)
             if f.startswith("profile_")
         }
         assert main(["simulate", "--config", cfg]) == 0
         for f, blob in first.items():
-            assert open(os.path.join(outdir, f), "rb").read() == blob
+            assert read_bytes(os.path.join(outdir, f)) == blob
 
 
 class TestValidation:
@@ -319,9 +329,9 @@ class TestTruncation:
     def test_byte_identical_reruns(self, tmp_path):
         cfg, outdir = write_config(tmp_path, n_list="32, 48")
         assert main(["truncation", "--config", cfg]) == 0
-        blob = open(os.path.join(outdir, "truncation.csv"), "rb").read()
+        blob = read_bytes(os.path.join(outdir, "truncation.csv"))
         assert main(["truncation", "--config", cfg]) == 0
-        assert open(os.path.join(outdir, "truncation.csv"), "rb").read() == blob
+        assert read_bytes(os.path.join(outdir, "truncation.csv")) == blob
 
 
 class TestDecay:
@@ -336,7 +346,7 @@ class TestDecay:
         assert len(rows) == 3
         assert rows[0][3] == "true"
         assert float(rows[0][1]) == 1.0  # calibration snapshot is tight
-        summary = json.load(open(os.path.join(outdir, "summary.json")))
+        summary = read_json(os.path.join(outdir, "summary.json"))
         assert summary["holds_at_all_snapshots"] is True
         assert summary["holds_where_exact_has_headroom"] is True
 
@@ -355,7 +365,7 @@ class TestDecay:
         assert main(["decay", "--config", str(path)]) == 0
         _, rows = read_csv(tmp_path / "out" / "decay.csv")
         assert all(r[3] == "true" for r in rows)
-        summary = json.load(open(tmp_path / "out" / "summary.json"))
+        summary = read_json(tmp_path / "out" / "summary.json")
         assert summary["holds_where_exact_has_headroom"] is None  # no oracle
 
 
@@ -415,7 +425,7 @@ class TestShippedConfigs:
         # the t=0 envelope binds the exact wave with no headroom
         cfg = os.path.join(CONFIG_DIR, name)
         assert main(["decay", "--config", cfg, "--output", str(tmp_path)]) == 0
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = read_json(tmp_path / "summary.json")
         assert summary["holds_at_all_snapshots"] is False
         assert summary["holds_where_exact_has_headroom"] is True
 
@@ -454,13 +464,13 @@ class TestShippedConfigs:
         assert errors[0] > errors[1] > errors[2] > errors[3]
         plateau = errors[3:]
         assert (max(plateau) - min(plateau)) / min(plateau) < 0.10
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = read_json(tmp_path / "summary.json")
         assert 220 <= summary["plateau_onset"] <= 320
 
 
-def readme_example():
+def readme_example(language="ini"):
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
-        return re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+        return re.search(rf"```{language}\n(.*?)```", fh.read(), re.S).group(1)
 
 
 def docstring_example():
@@ -485,6 +495,13 @@ class TestDocumentedExamples:
         assert cfg.problem.name == "bbm"
         assert cfg.decay_rate == 0.9
         assert os.listdir(tmp_path) == ["example.ini"]
+
+    def test_library_example_runs(self, capsys):
+        namespace = {}
+        exec(readme_example("python"), namespace)
+        peak = float(capsys.readouterr().out)
+        assert peak == namespace["traj"].final.values.max()
+        assert peak == pytest.approx(1.2, rel=0.02)  # the wave amplitude
 
 
 class TestEntryPoint:

@@ -1,4 +1,6 @@
-"""Grid, sampled sequences, discrete convolution, differences and norms."""
+"""Grid, sampled sequences and sampling, plus the discrete operators the
+truncated system applies to them: the convolution, the kernel's central
+differences and the rectangle-sum lattice quadrature of sampled functions."""
 
 import math
 
@@ -7,17 +9,43 @@ import pytest
 
 from nlwave import (
     Grid,
+    Kernel,
+    Nonlinearity,
     SampledSequence,
+    SmoothnessClass,
+    TruncatedSystem,
     bbm_kernel,
-    central_difference,
-    discrete_convolution,
-    lp_norm,
-    quadrature_error_probe,
+    build_system,
     restrict,
     rosenau_kernel,
     fit_observed_order,
+    tabulated_kernel,
 )
-from nlwave.discrete import MAX_N_HALF, fft_convolve
+from nlwave.discrete import MAX_N_HALF
+
+
+def convolve(w, v, h, fast_mode="auto"):
+    """``(w * v)_i = sum_j h w_{i-j} v_j`` as the truncated system computes
+    it: ``w`` on lags ``-N..N`` (zero beyond) as the stencil, ``f(u) = u``."""
+    n = (w.size - 1) // 2
+    system = TruncatedSystem(grid=Grid(h=h, n_half=n), stencil=np.pad(w, n),
+                             nonlinearity=Nonlinearity(((1, 1.0),)),
+                             blow_up_threshold=math.inf, fast_mode=fast_mode)
+    return -system.rhs_values(v)
+
+
+def central_differences(function, grid):
+    """``(function((k+1)h) - function((k-1)h)) / 2h`` for lags ``-2N..2N``,
+    the stencil ``build_system`` samples from a kernel."""
+    kernel = Kernel(evaluate=function, derivative_total_variation=math.inf,
+                    smoothness_class=SmoothnessClass.ORDER_ONE)
+    return build_system(kernel, grid, Nonlinearity(((1, 1.0),))).stencil
+
+
+def rectangle_defect(function, h, reference):
+    """``|reference - sum_i h function(x_i)|`` on the half-width-40 grid."""
+    grid = Grid(h=h, n_half=int(round(40.0 / h)))
+    return abs(reference - h * float(np.sum(restrict(function, grid).values)))
 
 
 def conv_oracle(w, v, h):
@@ -59,11 +87,6 @@ class TestGrid:
 
 
 class TestSampledSequence:
-    def test_signed_indexing_with_zero_padding(self):
-        s = SampledSequence(Grid(h=1.0, n_half=1), [1.0, 2.0, 3.0])
-        assert s[-1] == 1.0 and s[0] == 2.0 and s[1] == 3.0
-        assert s[2] == 0.0 and s[-5] == 0.0
-
     def test_value_semantics(self):
         buf = np.ones(3)
         s = SampledSequence(Grid(h=1.0, n_half=1), buf)
@@ -105,151 +128,131 @@ class TestDiscreteConvolution:
     def test_delta_identity(self):
         g = Grid(h=0.5, n_half=8)
         rng = np.random.default_rng(7)
-        v = SampledSequence(g, rng.standard_normal(g.node_count))
+        v = rng.standard_normal(g.node_count)
         delta = np.zeros(g.node_count)
         delta[g.n_half] = 1.0 / g.h
-        w = SampledSequence(g, delta)
-        out = discrete_convolution(w, v)
-        np.testing.assert_allclose(out.values, v.values, rtol=0, atol=1e-15)
+        out = convolve(delta, v, g.h)
+        np.testing.assert_allclose(out, v, rtol=0, atol=1e-15)
 
     def test_indicator_example(self):
-        g = Grid(h=0.5, n_half=3)
-        w = SampledSequence(g, [0, 0, 1, 1, 1, 0, 0])
-        v = SampledSequence(g, [0, 0, 0, 1, 0, 0, 0])
-        out = discrete_convolution(w, v)
-        np.testing.assert_allclose(out.values, [0, 0, 0.5, 0.5, 0.5, 0, 0])
+        w = np.array([0, 0, 1, 1, 1, 0, 0], dtype=float)
+        v = np.array([0, 0, 0, 1, 0, 0, 0], dtype=float)
+        out = convolve(w, v, 0.5)
+        np.testing.assert_allclose(out, [0, 0, 0.5, 0.5, 0.5, 0, 0])
 
     @pytest.mark.parametrize(
-        "fast, n_half, seed, tol",
+        "fast_mode, n_half, seed, tol",
         [
-            pytest.param(False, 64, 20240502, 1e-12, id="False"),
-            pytest.param(True, 64, 20240502, 1e-12, id="True"),
-            pytest.param(None, 64, 20240502, 1e-12, id="None"),
-            pytest.param(False, 24, 314, 1e-13, id="False-n24"),
+            pytest.param("off", 64, 20240502, 1e-12, id="False"),
+            pytest.param("on", 64, 20240502, 1e-12, id="True"),
+            pytest.param("auto", 64, 20240502, 1e-12, id="None"),
+            pytest.param("off", 24, 314, 1e-13, id="False-n24"),
         ],
     )
-    def test_matches_double_loop_oracle(self, fast, n_half, seed, tol):
+    def test_matches_double_loop_oracle(self, fast_mode, n_half, seed, tol):
         g = Grid(h=0.25, n_half=n_half)
         rng = np.random.default_rng(seed)
-        w = SampledSequence(g, rng.uniform(-1, 1, g.node_count))
-        v = SampledSequence(g, rng.uniform(-1, 1, g.node_count))
-        expected = conv_oracle(w.values, v.values, g.h)
-        out = discrete_convolution(w, v, fast=fast)
-        assert np.max(np.abs(out.values - expected)) < tol
+        w = rng.uniform(-1, 1, g.node_count)
+        v = rng.uniform(-1, 1, g.node_count)
+        expected = conv_oracle(w, v, g.h)
+        out = convolve(w, v, g.h, fast_mode)
+        assert np.max(np.abs(out - expected)) < tol
 
     def test_fast_equals_direct(self):
         g = Grid(h=0.1, n_half=100)
         rng = np.random.default_rng(11)
-        w = SampledSequence(g, rng.standard_normal(g.node_count))
-        v = SampledSequence(g, rng.standard_normal(g.node_count))
-        a = discrete_convolution(w, v, fast=True)
-        b = discrete_convolution(w, v, fast=False)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
+        w = rng.standard_normal(g.node_count)
+        v = rng.standard_normal(g.node_count)
+        a = convolve(w, v, g.h, "on")
+        b = convolve(w, v, g.h, "off")
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_commutative_and_bilinear(self):
         g = Grid(h=0.5, n_half=20)
         rng = np.random.default_rng(3)
-        w = SampledSequence(g, rng.standard_normal(g.node_count))
-        v = SampledSequence(g, rng.standard_normal(g.node_count))
-        u = SampledSequence(g, rng.standard_normal(g.node_count))
-        wv = discrete_convolution(w, v).values
-        vw = discrete_convolution(v, w).values
+        w = rng.standard_normal(g.node_count)
+        v = rng.standard_normal(g.node_count)
+        u = rng.standard_normal(g.node_count)
+        wv = convolve(w, v, g.h)
+        vw = convolve(v, w, g.h)
         assert np.max(np.abs(wv - vw)) < 1e-12
-        lhs = discrete_convolution(
-            w, SampledSequence(g, 2.0 * v.values + 3.0 * u.values)
-        ).values
-        rhs = 2.0 * wv + 3.0 * discrete_convolution(w, u).values
+        lhs = convolve(w, 2.0 * v + 3.0 * u, g.h)
+        rhs = 2.0 * wv + 3.0 * convolve(w, u, g.h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_young_inequality(self):
+        # max |rhs| <= stencil_l1 * max |f(v)|, the bound behind the
+        # stencil-norm stability argument, on both convolution paths
         g = Grid(h=0.2, n_half=40)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            w = SampledSequence(g, rng.standard_normal(g.node_count))
-            v = SampledSequence(g, rng.standard_normal(g.node_count))
-            conv = discrete_convolution(w, v)
-            bound = lp_norm(w, 1) * lp_norm(v, math.inf)
-            assert lp_norm(conv, math.inf) <= bound * (1 + 1e-12)
-
-    def test_grid_mismatch(self):
-        a = SampledSequence(Grid(h=0.5, n_half=2), np.ones(5))
-        b = SampledSequence(Grid(h=0.25, n_half=2), np.ones(5))
-        with pytest.raises(ValueError):
-            discrete_convolution(a, b)
-
-    def test_fft_convolve_matches_numpy(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal(37)
-        b = rng.standard_normal(23)
-        np.testing.assert_allclose(
-            fft_convolve(a, b), np.convolve(a, b), rtol=0, atol=1e-12
-        )
+        for fast_mode in ("on", "off"):
+            system = build_system(rosenau_kernel(), g, Nonlinearity.rosenau(),
+                                  fast_mode=fast_mode)
+            for _ in range(20):
+                v = rng.uniform(-1, 1, g.node_count)
+                fv = system.nonlinearity.evaluate_values(v)
+                bound = system.stencil_l1() * float(np.max(np.abs(fv)))
+                rhs = system.rhs_values(v)
+                assert float(np.max(np.abs(rhs))) <= bound * (1 + 1e-12)
 
 
 class TestCentralDifference:
     def test_constant_is_flat_inside(self):
         g = Grid(h=0.5, n_half=5)
-        d = central_difference(SampledSequence(g, np.full(g.node_count, 3.0)))
-        assert np.all(d.values[1:-1] == 0.0)
+        d = central_differences(lambda x: np.full_like(x, 3.0), g)
+        assert np.all(d == 0.0)
 
     def test_exact_on_quadratic(self):
         g = Grid(h=0.1, n_half=30)
-        d = central_difference(restrict(lambda x: x**2, g))
-        np.testing.assert_allclose(d.values[1:-1], 2.0 * g.nodes[1:-1],
-                                   rtol=0, atol=1e-12)
+        d = central_differences(lambda x: x**2, g)
+        lags = np.arange(-2 * g.n_half, 2 * g.n_half + 1) * g.h
+        np.testing.assert_allclose(d, 2.0 * lags, rtol=0, atol=1e-12)
 
     def test_exact_on_affine(self):
         g = Grid(h=0.25, n_half=10)
-        d = central_difference(restrict(lambda x: 3.0 * x - 1.0, g))
-        np.testing.assert_allclose(d.values[1:-1], 3.0, rtol=0, atol=1e-12)
+        d = central_differences(lambda x: 3.0 * x - 1.0, g)
+        np.testing.assert_allclose(d, 3.0, rtol=0, atol=1e-12)
 
     def test_sine_second_order_bound(self):
-        # third-derivative bound: |D sin - cos| <= h^2/6 at interior nodes
+        # third-derivative bound: |D sin - cos| <= h^2/6 at every lag
         for h in (0.4, 0.2, 0.1, 0.05):
-            g = Grid(h=h, n_half=int(round(4.0 / h)))
-            d = central_difference(restrict(np.sin, g))
-            err = np.max(np.abs(d.values[1:-1] - np.cos(g.nodes[1:-1])))
-            assert err <= h * h / 6.0
+            g = Grid(h=h, n_half=int(round(2.0 / h)))
+            d = central_differences(np.sin, g)
+            lags = np.arange(-2 * g.n_half, 2 * g.n_half + 1) * h
+            assert np.max(np.abs(d - np.cos(lags))) <= h * h / 6.0
 
     def test_boundary_uses_zero_padding(self):
-        g = Grid(h=1.0, n_half=1)
-        d = central_difference(SampledSequence(g, [2.0, 0.0, 4.0]))
-        np.testing.assert_allclose(d.values, [0.0, 1.0, 0.0])
+        # a tabulated kernel is zero beyond its support, so the differences
+        # across the support ends read that zero extension
+        kernel = tabulated_kernel([-1.0, 0.0, 1.0], [2.0, 0.0, 4.0])
+        d = central_differences(kernel.evaluate, Grid(h=1.0, n_half=1))
+        np.testing.assert_allclose(d, [1.0, 0.0, 1.0, 0.0, -2.0])
 
 
 class TestLpNorm:
+    """The mesh-weighted l1 norm of the stencil, ``sum_k h |stencil_k|``."""
+
     def test_zero(self):
-        s = SampledSequence(Grid(h=0.5, n_half=2), np.zeros(5))
-        for p in (1, 2, math.inf):
-            assert lp_norm(s, p) == 0.0
+        system = TruncatedSystem(grid=Grid(h=0.5, n_half=2), stencil=np.zeros(9),
+                                 nonlinearity=Nonlinearity(((1, 1.0),)))
+        assert system.stencil_l1() == 0.0
 
     def test_single_entry_l1(self):
-        g = Grid(h=0.5, n_half=2)
-        v = np.zeros(5)
-        v[1] = -3.0
-        assert lp_norm(SampledSequence(g, v), 1) == 0.5 * 3.0
-
-    def test_sup_norm(self):
-        s = SampledSequence(Grid(h=0.5, n_half=1), [1.0, 1.0, 1.0])
-        assert lp_norm(s, math.inf) == 1.0
-
-    def test_l2(self):
-        s = SampledSequence(Grid(h=0.25, n_half=1), [0.0, 2.0, 0.0])
-        assert lp_norm(s, 2) == pytest.approx(1.0)
-
-    def test_invalid_p(self):
-        s = SampledSequence(Grid(h=0.5, n_half=1), [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            lp_norm(s, 3)
+        stencil = np.zeros(9)
+        stencil[1] = -3.0
+        system = TruncatedSystem(grid=Grid(h=0.5, n_half=2), stencil=stencil,
+                                 nonlinearity=Nonlinearity(((1, 1.0),)))
+        assert system.stencil_l1() == 0.5 * 3.0
 
 
 class TestQuadratureProbe:
+    """Rectangle sums ``sum_i h w(x_i)`` of sampled functions."""
+
     def test_bbm_kernel_closed_form(self):
         # The lattice sum of exp(-|x|)/2 has the closed form (h/2) coth(h/2);
         # the truncation tail at half-width 40 sits below 1e-12.
         for h in (0.4, 0.2, 0.1, 0.05):
-            g = Grid(h=h, n_half=int(round(40.0 / h)))
-            err = quadrature_error_probe(bbm_kernel().evaluate, g, 1.0)
+            err = rectangle_defect(bbm_kernel().evaluate, h, 1.0)
             exact = (h / 2.0) / math.tanh(h / 2.0) - 1.0
             assert err == pytest.approx(exact, abs=1e-12)
 
@@ -257,36 +260,22 @@ class TestQuadratureProbe:
         # The kink sits on a grid node, so its linear-order term cancels by
         # symmetry; the fit reports quadratic but only >= 1 is guaranteed.
         hs = (0.4, 0.2, 0.1, 0.05)
-        errs = [
-            quadrature_error_probe(
-                bbm_kernel().evaluate, Grid(h=h, n_half=int(round(40.0 / h))), 1.0
-            )
-            for h in hs
-        ]
+        errs = [rectangle_defect(bbm_kernel().evaluate, h, 1.0) for h in hs]
         order = fit_observed_order(hs, errs)
         assert order >= 1.0
         assert order == pytest.approx(2.0, abs=0.05)
 
     def test_shifted_kink_first_order_guarantee(self):
         hs = (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125)
-        errs = [
-            quadrature_error_probe(
-                lambda x: 0.5 * np.exp(-np.abs(x - 0.3)),
-                Grid(h=h, n_half=int(round(40.0 / h))),
-                1.0,
-            )
-            for h in hs
-        ]
+        errs = [rectangle_defect(lambda x: 0.5 * np.exp(-np.abs(x - 0.3)), h, 1.0)
+                for h in hs]
         assert fit_observed_order(hs, errs) >= 1.0
 
     def test_gaussian_at_machine_floor(self):
         # Full-line lattice sums of analytic integrands converge faster than
-        # any power of h; every probe value is pure rounding noise.
+        # any power of h; every defect is pure rounding noise.
         for h in (0.4, 0.2, 0.1):
-            g = Grid(h=h, n_half=int(round(40.0 / h)))
-            err = quadrature_error_probe(
-                lambda x: np.exp(-(x**2)), g, math.sqrt(math.pi)
-            )
+            err = rectangle_defect(lambda x: np.exp(-(x**2)), h, math.sqrt(math.pi))
             assert err < 1e-13
 
     def test_stencil_norm_bound(self):
@@ -295,5 +284,5 @@ class TestQuadratureProbe:
         for kernel in (bbm_kernel(), rosenau_kernel()):
             for h in (0.5, 0.25, 0.1, 0.05):
                 g = Grid(h=h, n_half=int(round(40.0 / h)))
-                d = central_difference(restrict(kernel.evaluate, g))
-                assert lp_norm(d, 1) <= kernel.derivative_total_variation + 1e-10
+                system = build_system(kernel, g, Nonlinearity(((1, 1.0),)))
+                assert system.stencil_l1() <= kernel.derivative_total_variation + 1e-10

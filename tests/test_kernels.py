@@ -1,6 +1,7 @@
 """Kernel evaluation and derivative-measure metadata."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,11 +20,10 @@ from nlwave import (
 SQRT2 = math.sqrt(2.0)
 
 
-def lattice_sum(kernel, h=0.002, half_width=60.0, absolute=False):
+def lattice_sum(kernel, h=0.002, half_width=60.0):
     n = int(round(half_width / h))
     x = np.arange(-n, n + 1) * h
-    v = kernel.evaluate(x)
-    return h * float(np.sum(np.abs(v) if absolute else v))
+    return h * float(np.sum(kernel.evaluate(x)))
 
 
 class TestBBMKernel:
@@ -37,14 +37,9 @@ class TestBBMKernel:
 
     def test_metadata(self):
         k = bbm_kernel()
-        assert k.l1_norm == 1.0
         assert k.derivative_total_variation == 1.0
         assert k.second_derivative_total_variation == 2.0
         assert k.smoothness_class is SmoothnessClass.ORDER_TWO
-
-    def test_l1_matches_lattice_integration(self):
-        k = bbm_kernel()
-        assert abs(lattice_sum(k, absolute=True) - k.l1_norm) < 1e-6
 
     def test_range_and_monotonicity(self):
         k = bbm_kernel()
@@ -79,18 +74,10 @@ class TestRosenauKernel:
         # The kernel integrates to exactly 1 even though it changes sign.
         assert abs(lattice_sum(rosenau_kernel()) - 1.0) < 1e-6
 
-    def test_l1_matches_lattice_integration(self):
-        k = rosenau_kernel()
-        assert abs(lattice_sum(k, absolute=True) - k.l1_norm) < 1e-6
-
     def test_metadata_against_quadrature_oracle(self):
         # Re-derive the frozen constants by piecewise adaptive quadrature
         # between the sign changes of each integrand.
         k = rosenau_kernel()
-
-        def beta_abs(x):
-            a = abs(x) / SQRT2
-            return abs(math.exp(-a) * (math.cos(a) + math.sin(a))) / (2 * SQRT2)
 
         def dbeta_abs(x):
             a = abs(x) / SQRT2
@@ -106,10 +93,8 @@ class TestRosenauKernel:
                 quad(f, lo, hi, limit=300)[0] for lo, hi in zip(pts, pts[1:])
             )
 
-        z_beta = [SQRT2 * (0.75 * math.pi + i * math.pi) for i in range(26)]
         z_mu = [SQRT2 * math.pi * (i + 1) for i in range(26)]
         z_nu = [SQRT2 * (0.25 * math.pi + i * math.pi) for i in range(26)]
-        assert integral(beta_abs, z_beta) == pytest.approx(k.l1_norm, abs=1e-9)
         assert integral(dbeta_abs, z_mu) == pytest.approx(
             k.derivative_total_variation, abs=1e-9
         )
@@ -145,11 +130,6 @@ class TestTabulatedKernel:
         # nonzero endpoints add their jumps to zero
         k2 = tabulated_kernel([0.0, 1.0], [1.0, 1.0])
         assert k2.derivative_total_variation == 2.0
-
-    def test_l1_norm_exact_with_sign_change(self):
-        k = tabulated_kernel([0.0, 1.0, 2.0], [1.0, -1.0, 0.0])
-        # two triangles of area 1/4 on [0,1], one of area 1/2 on [1,2]
-        assert k.l1_norm == pytest.approx(1.0)
 
     def test_order_two_requires_vanishing_endpoints(self):
         with pytest.raises(ValueError):
@@ -191,3 +171,13 @@ class TestTabulatedKernel:
         path.write_text("0.0 1.0 2.0\n1.0 2.0 3.0\n")
         with pytest.raises(ValueError):
             kernel_from_file(path)
+
+    @pytest.mark.parametrize("text", ["", "# x value\n\n   # no rows\n"],
+                             ids=["empty", "comments-only"])
+    def test_load_rejects_file_without_rows(self, tmp_path, text):
+        path = tmp_path / "kernel.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="holds no data rows"):
+                kernel_from_file(path)
