@@ -68,10 +68,7 @@ def evaluate_solitary(wave: SolitaryWave, x, t: float):
     # (x - x0) first, so translating x0 and x together is bit-exact
     xi = wave.width_rate * ((np.asarray(x, dtype=float) - wave.x0) - wave.speed * t)
     sech = 1.0 / np.cosh(xi)
-    if wave.family == "bbm":
-        out = wave.amplitude * sech ** (2.0 / wave.p)
-    else:
-        out = wave.amplitude * sech
+    out = wave.amplitude * sech ** wave.sech_power
     if out.ndim == 0:
         return float(out)
     return out

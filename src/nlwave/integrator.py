@@ -4,7 +4,8 @@ Snapshots are delivered by clipping steps exactly onto the requested times,
 which keeps trajectories bit-reproducible for identical inputs.  The error
 controller accepts a step when the embedded estimate satisfies
 ``|err|_inf <= abs_tol + rel_tol * |state|_inf`` and rescales the step with
-safety factor 0.9 and ratio clamp [0.2, 5].
+safety factor 0.9 and ratio clamp [0.2, 5].  The blow-up rule is checked
+here, on the ``|state|_inf`` the error scale computes anyway.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import SampledSequence
-from .system import TruncatedSystem
+from .system import BlowUpError, TruncatedSystem
 
 __all__ = [
     "IntegratorConfig",
@@ -97,6 +98,15 @@ def _initial_step_heuristic(f, y0, f0, rel_tol, abs_tol):
     return min(100.0 * h0, h1)
 
 
+def _check_state(norm, threshold, t):
+    # isfinite first: NaN fails it, and inf is caught even at threshold inf
+    if not math.isfinite(norm):
+        raise BlowUpError(f"non-finite values at t={t:.17g}")
+    if norm > threshold:
+        raise BlowUpError(f"state sup-norm {norm:g} exceeded the blow-up "
+                          f"threshold {threshold:g} at t={t:.17g}")
+
+
 def _normalize_snapshots(t_end, snapshots):
     # written so that NaN fails every comparison and is rejected
     if not 0.0 <= t_end < math.inf:
@@ -109,14 +119,7 @@ def _normalize_snapshots(t_end, snapshots):
         raise ValueError("snapshot times must lie in [0, t_end]")
     if sorted(snaps) != snaps:
         raise ValueError("snapshot times must be sorted")
-    if not snaps or snaps[0] != 0.0:
-        snaps.insert(0, 0.0)
-    # drop duplicates, keep order
-    out = []
-    for t in snaps:
-        if not out or t > out[-1]:
-            out.append(t)
-    return out
+    return sorted({0.0, *snaps})  # time zero first, duplicates dropped
 
 
 def integrate(
@@ -129,7 +132,10 @@ def integrate(
     """Integrate the system from t=0 and record the snapshot states.
 
     ``snapshots`` defaults to ``[t_end]``; time zero is always recorded.
-    Raises ``BlowUpError`` from the right-hand side and
+    Raises ``BlowUpError`` when the initial state or an attempted step's
+    state has a sup-norm above ``system.blow_up_threshold`` or a non-finite
+    value, or f(y0) is non-finite; stage inputs are not checked, but a
+    non-finite stage enters the step's state (0 * NaN = NaN).  Raises
     ``StepFailureError`` when the controller underflows the step or runs
     out of its step budget.
     """
@@ -145,52 +151,54 @@ def integrate(
     states = [SampledSequence(system.grid, y)]
     targets = [s for s in snaps if s > 0.0]
     accepted = rejected = 0
+    threshold = system.blow_up_threshold
+    y_norm = float(np.max(np.abs(y)))
+    _check_state(y_norm, threshold, t)
     if not targets:
         return Trajectory(tuple(times), tuple(states), accepted, rejected)
 
     k = np.empty((7, y.size))
-    k[0] = f(y)
-    h = min(_initial_step_heuristic(f, y, k[0], cfg.rel_tol, cfg.abs_tol),
-            targets[-1])
+    # overflow ends in BlowUpError, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        k[0] = f(y)
+        _check_state(float(np.max(np.abs(k[0]))), math.inf, t)  # f(y0) finite
+        h = min(_initial_step_heuristic(f, y, k[0], cfg.rel_tol, cfg.abs_tol),
+                targets[-1])
 
-    ti = 0
-    while ti < len(targets):
-        if accepted + rejected >= cfg.max_steps:
-            raise StepFailureError(f"exceeded max_steps={cfg.max_steps}")
-        target = targets[ti]
-        clipped = t + h >= target
-        h_use = target - t if clipped else h
-        if h_use <= 16.0 * np.finfo(float).eps * max(abs(t), 1.0):
-            raise StepFailureError(f"step size underflow at t={t:.17g}")
+        ti = 0
+        while ti < len(targets):
+            if accepted + rejected >= cfg.max_steps:
+                raise StepFailureError(f"exceeded max_steps={cfg.max_steps}")
+            target = targets[ti]
+            clipped = t + h >= target
+            h_use = target - t if clipped else h
+            if h_use <= 16.0 * np.finfo(float).eps * max(abs(t), 1.0):
+                raise StepFailureError(f"step size underflow at t={t:.17g}")
 
-        for i in range(1, 7):
-            yi = y + h_use * (k[:i].T @ _A[i])
-            k[i] = f(yi)
-        y_new = y + h_use * (k.T @ _B5)
-        err = h_use * (k.T @ _E)
-        sc = cfg.abs_tol + cfg.rel_tol * max(
-            float(np.max(np.abs(y))), float(np.max(np.abs(y_new)))
-        )
-        enorm = float(np.max(np.abs(err))) / sc
+            for i in range(1, 7):
+                yi = y + h_use * (k[:i].T @ _A[i])
+                k[i] = f(yi)
+            y_new = y + h_use * (k.T @ _B5)
+            y_new_norm = float(np.max(np.abs(y_new)))
+            _check_state(y_new_norm, threshold, t + h_use)
+            err = h_use * (k.T @ _E)
+            sc = cfg.abs_tol + cfg.rel_tol * max(y_norm, y_new_norm)
+            enorm = float(np.max(np.abs(err))) / sc
 
-        if enorm <= 1.0:
-            accepted += 1
-            t = target if clipped else t + h_use
-            y = y_new
-            k[0] = k[6]  # FSAL: last stage is f at the accepted state
-            if clipped:
-                times.append(t)
-                states.append(SampledSequence(system.grid, y))
-                ti += 1
-                # the clip carries no error information; keep h as proposed
+            if enorm <= 1.0:
+                accepted += 1
+                t = target if clipped else t + h_use
+                y, y_norm = y_new, y_new_norm
+                k[0] = k[6]  # FSAL: last stage is f at the accepted state
+                if clipped:
+                    times.append(t)
+                    states.append(SampledSequence(system.grid, y))
+                    ti += 1
+                    continue  # the clip carries no error information; keep h
             else:
-                factor = _MAX_FACTOR if enorm == 0.0 else min(
-                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)
-                )
-                h = h_use * factor
-        else:
-            rejected += 1
-            factor = max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)
-            h = h_use * factor
+                rejected += 1
+            # a rejection's factor is below 0.9, so the clamp to 5 keeps it
+            h = h_use * (_MAX_FACTOR if enorm == 0.0 else min(
+                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)))
 
     return Trajectory(tuple(times), tuple(states), accepted, rejected)

@@ -182,6 +182,23 @@ class TestSimulate:
         for f, blob in first.items():
             assert read_bytes(os.path.join(outdir, f)) == blob
 
+    @pytest.mark.parametrize("case", ["threshold", "overflow"])
+    def test_blow_up_exits_1_without_output(self, tmp_path, capsys, case):
+        terms, amplitude, threshold = {
+            "threshold": ("1:1.0", 1.0, 0.5),
+            "overflow": ("9:1", 1e60, 1e300),
+        }[case]
+        equation = (f"kind = custom\nkernel_file = kernel.txt\n"
+                    f"nonlinearity = {terms}\ninitial_amplitude = {amplitude}\n"
+                    f"blow_up_threshold = {threshold}")
+        cfg, outdir = write_config(tmp_path, equation=equation,
+                                   kernel=TRIANGLE_KERNEL)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "integration failed" in err
+        assert "RuntimeWarning" not in err
+        assert not os.path.exists(outdir)
+
 
 class TestValidation:
     def test_malformed_config_exits_2_without_output(self, tmp_path):
@@ -507,10 +524,15 @@ class TestDocumentedExamples:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=0.5)
+        # the child imports the package this test imported, as pytest's
+        # pythonpath setting does not reach a subprocess
+        src = os.path.dirname(os.path.dirname(nlwave.cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "nlwave", "simulate", "--config", cfg],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(os.path.join(outdir, "summary.json"))

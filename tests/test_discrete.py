@@ -277,12 +277,3 @@ class TestQuadratureProbe:
         for h in (0.4, 0.2, 0.1):
             err = rectangle_defect(lambda x: np.exp(-(x**2)), h, math.sqrt(math.pi))
             assert err < 1e-13
-
-    def test_stencil_norm_bound(self):
-        # mesh-weighted l1 norm of the kernel's central differences never
-        # exceeds the first-derivative total variation
-        for kernel in (bbm_kernel(), rosenau_kernel()):
-            for h in (0.5, 0.25, 0.1, 0.05):
-                g = Grid(h=h, n_half=int(round(40.0 / h)))
-                system = build_system(kernel, g, Nonlinearity(((1, 1.0),)))
-                assert system.stencil_l1() <= kernel.derivative_total_variation + 1e-10

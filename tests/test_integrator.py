@@ -42,6 +42,64 @@ def linear_system(n_half=16, h=0.5):
     return g, system, dense
 
 
+def growth_stub():
+    # u' = +u^2 from u0 = 3 blows past the threshold 1e3 before t=2
+    g = Grid(h=1.0, n_half=1)
+    stencil = np.zeros(5)
+    stencil[2] = -1.0  # rhs = +f(v) with h = 1
+    system = TruncatedSystem(grid=g, stencil=stencil,
+                             nonlinearity=Nonlinearity(((2, 1.0),)),
+                             blow_up_threshold=1e3)
+    return system, SampledSequence(g, [3.0, 3.0, 3.0])
+
+
+def above_threshold():
+    g = Grid(h=0.5, n_half=4)
+    system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
+                          blow_up_threshold=10.0)
+    v = np.zeros(g.node_count)
+    v[0] = 11.0
+    return system, SampledSequence(g, v)
+
+
+def f_overflow():
+    # u^9 of 1e60 overflows although the state is far below the threshold
+    g = Grid(h=0.5, n_half=4)
+    system = build_system(bbm_kernel(), g, Nonlinearity(((9, 1.0),)),
+                          blow_up_threshold=1e300)
+    return system, SampledSequence(g, np.full(g.node_count, 1e60))
+
+
+def fft_convolution_overflow():
+    # finite f(v) whose transform-side accumulation still overflows, at an
+    # infinite threshold: only the finiteness rule can stop it
+    g = Grid(h=0.5, n_half=64)
+    system = build_system(bbm_kernel(), g, Nonlinearity(((1, 1.0),)),
+                          blow_up_threshold=math.inf, fast_mode="on")
+    return system, SampledSequence(g, np.full(g.node_count, 5e306))
+
+
+def cubic_overflow():
+    # identity stub (rhs = f(v)) whose cubic overflows at one node
+    g = Grid(h=1.0, n_half=1)
+    stencil = np.zeros(5)
+    stencil[2] = -1.0 / g.h
+    system = TruncatedSystem(grid=g, stencil=stencil,
+                             nonlinearity=Nonlinearity(((3, 1.0),)),
+                             blow_up_threshold=math.inf)
+    return system, SampledSequence(g, [0.0, 1e200, 0.0])
+
+
+# each input with the rule it must trip: the threshold or non-finiteness
+BLOW_UP_CASES = {
+    "growth": (growth_stub, "threshold"),
+    "above_threshold": (above_threshold, "threshold"),
+    "f_overflow": (f_overflow, "non-finite"),
+    "fft_convolution_overflow": (fft_convolution_overflow, "non-finite"),
+    "cubic_overflow": (cubic_overflow, "non-finite"),
+}
+
+
 class TestConfigValidation:
     def test_tolerances_in_unit_interval(self):
         with pytest.raises(ValueError):
@@ -159,14 +217,15 @@ class TestStepControl:
             integrate(system, init, 1.0, snapshots=[0.25, 0.5, 0.75, 1.0],
                       config=cfg)
 
-    def test_blow_up_propagates(self):
-        # growth stub u' = +u^2 from u0 = 3 blows past the guard before t=2
-        g = Grid(h=1.0, n_half=1)
-        stencil = np.zeros(5)
-        stencil[2] = -1.0  # rhs = +f(v) with h = 1
-        system = TruncatedSystem(grid=g, stencil=stencil,
-                                 nonlinearity=Nonlinearity(((2, 1.0),)),
-                                 blow_up_threshold=1e3)
-        init = SampledSequence(g, [3.0, 3.0, 3.0])
-        with pytest.raises(BlowUpError):
+    @pytest.mark.parametrize("case", list(BLOW_UP_CASES))
+    def test_blow_up_propagates(self, case):
+        # no np.errstate here: the suite turns any numpy warning into a failure
+        build, message = BLOW_UP_CASES[case]
+        system, init = build()
+        with pytest.raises(BlowUpError, match=message):
             integrate(system, init, 2.0)
+
+    def test_zero_horizon_checks_the_initial_state(self):
+        system, init = above_threshold()
+        with pytest.raises(BlowUpError, match="threshold"):
+            integrate(system, init, 0.0)
