@@ -124,6 +124,7 @@ def cmd_simulate(cfg: RunConfig):
         "linf_error": None if math.isnan(err) else err,
         "accepted_steps": study.record.accepted_steps,
         "rejected_steps": traj.rejected_steps,
+        "rhs_calls": traj.rhs_calls,
         "mass_initial": study.mass_initial,
         "mass_final": study.mass_final,
         "relative_mass_drift": study.relative_mass_drift,
@@ -205,6 +206,9 @@ def cmd_decay(cfg: RunConfig):
         "holds_at_all_snapshots": all(holds for *_, holds in rows),
         "holds_where_exact_has_headroom":
             all(headroom_holds) if headroom_holds else None,
+        "accepted_steps": traj.accepted_steps,
+        "rejected_steps": traj.rejected_steps,
+        "rhs_calls": traj.rhs_calls,
     }
 
 

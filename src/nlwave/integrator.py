@@ -1,11 +1,19 @@
-"""Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) time integration.
+"""Adaptive embedded Runge-Kutta time integration with the DOP853 pair.
 
-Snapshots are delivered by clipping steps exactly onto the requested times,
-which keeps trajectories bit-reproducible for identical inputs.  The error
-controller accepts a step when the embedded estimate satisfies
-``|err|_inf <= abs_tol + rel_tol * |state|_inf`` and rescales the step with
-safety factor 0.9 and ratio clamp [0.2, 5].  The blow-up rule is checked
-here, on the ``|state|_inf`` the error scale computes anyway.
+DOP853 is the eighth-order Dormand-Prince method with embedded fifth- and
+third-order error estimates (P. J. Prince and J. R. Dormand, J. Comput. Appl.
+Math. 7 (1981) 67-75; E. Hairer, S. P. Norsett and G. Wanner, Solving
+Ordinary Differential Equations I, 2nd ed., Sec. II.10).  A step takes 11
+new right-hand sides for its stages; an accepted step takes one more, f at
+the new state, which is the next step's first stage, so a run makes 12 per
+accepted step, 11 per rejected one, plus f(y0) and the first-step probe.
+Both estimates are max-norms scaled by ``abs_tol + rel_tol * |state|_inf``
+and combine to ``err5^2 / sqrt(err5^2 + 0.01 err3^2)``; a step is accepted
+when that is at most 1 and rescaled with safety factor 0.9 and ratio clamp
+[0.2, 5].  Snapshots are delivered by clipping steps exactly onto the
+requested times, which keeps trajectories bit-reproducible for identical
+inputs.  The blow-up rule is checked here, on the ``|state|_inf`` the error
+scale computes anyway.
 """
 
 import math
@@ -23,28 +31,50 @@ __all__ = [
     "integrate",
 ]
 
-# Dormand-Prince 5(4) tableau; the propagating solution is fifth order and
-# the last stage equals the first of the next step (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# DOP853 tableau: float literals of the 12-stage block of SciPy's
+# integrate._ivp.dop853_coefficients (numpy is the only runtime dependency).
+# _A[i] holds stage i's weights on stages 0..i-1; the autonomous system
+# needs no nodes C.
 _A = (
     np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array([0.05260015195876773]),
+    np.array([0.0197250569845379, 0.0591751709536137]),
+    np.array([0.02958758547680685, 0.0, 0.08876275643042054]),
+    np.array([0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792]),
+    np.array([0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+              0.12546768756682242]),
+    np.array([0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+              -0.017578125]),
+    np.array([0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+              -0.015319437748624402, 0.008273789163814023]),
+    np.array([0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+              27.59209969944671, 20.154067550477894, -43.48988418106996]),
+    np.array([0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+              21.230051448181193, 15.279233632882423, -33.28821096898486,
+              -0.020331201708508627]),
+    np.array([-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+              -8.149787010746927, -18.52006565999696, 22.739487099350505,
+              2.4936055526796523, -3.0467644718982196]),
+    np.array([2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+              -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+              -8.87285693353063, 12.360567175794303, 0.6433927460157636]),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# Difference between the fifth- and embedded fourth-order weights.
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# Eighth-order weights of the propagating solution.
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+# Fifth- and third-order error weights; the 13th stage f(y_new) has weight 0.
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+_E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_ORDER = 5
+_ERROR_ORDER = 7  # of the combined estimate; sets both step-size exponents
 
 
 class StepFailureError(RuntimeError):
@@ -76,6 +106,7 @@ class Trajectory:
     states: tuple[SampledSequence, ...]
     accepted_steps: int
     rejected_steps: int
+    rhs_calls: int
 
     @property
     def final(self) -> SampledSequence:
@@ -94,7 +125,7 @@ def _initial_step_heuristic(f, y0, f0, rel_tol, abs_tol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / (_ORDER + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / (_ERROR_ORDER + 1))
     return min(100.0 * h0, h1)
 
 
@@ -143,7 +174,12 @@ def integrate(
         raise ValueError("initial state grid does not match the system grid")
     cfg = config or IntegratorConfig()
     snaps = _normalize_snapshots(t_end, snapshots)
-    f = system.rhs_values
+    rhs_calls = 0
+
+    def f(v):
+        nonlocal rhs_calls
+        rhs_calls += 1
+        return system.rhs_values(v)
 
     t = 0.0
     y = initial.values.copy()
@@ -155,9 +191,9 @@ def integrate(
     y_norm = float(np.max(np.abs(y)))
     _check_state(y_norm, threshold, t)
     if not targets:
-        return Trajectory(tuple(times), tuple(states), accepted, rejected)
+        return Trajectory(tuple(times), tuple(states), accepted, rejected, 0)
 
-    k = np.empty((7, y.size))
+    k = np.empty((12, y.size))
     # overflow ends in BlowUpError, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         k[0] = f(y)
@@ -175,21 +211,22 @@ def integrate(
             if h_use <= 16.0 * np.finfo(float).eps * max(abs(t), 1.0):
                 raise StepFailureError(f"step size underflow at t={t:.17g}")
 
-            for i in range(1, 7):
-                yi = y + h_use * (k[:i].T @ _A[i])
-                k[i] = f(yi)
-            y_new = y + h_use * (k.T @ _B5)
+            for i in range(1, 12):
+                k[i] = f(y + h_use * (k[:i].T @ _A[i]))
+            y_new = y + h_use * (k.T @ _B)
             y_new_norm = float(np.max(np.abs(y_new)))
             _check_state(y_new_norm, threshold, t + h_use)
-            err = h_use * (k.T @ _E)
             sc = cfg.abs_tol + cfg.rel_tol * max(y_norm, y_new_norm)
-            enorm = float(np.max(np.abs(err))) / sc
+            err5 = h_use * float(np.max(np.abs(k.T @ _E5))) / sc
+            err3 = h_use * float(np.max(np.abs(k.T @ _E3))) / sc
+            denom = err5 * err5 + 0.01 * err3 * err3
+            enorm = err5 * err5 / math.sqrt(denom) if denom > 0.0 else 0.0
 
             if enorm <= 1.0:
                 accepted += 1
                 t = target if clipped else t + h_use
                 y, y_norm = y_new, y_new_norm
-                k[0] = k[6]  # FSAL: last stage is f at the accepted state
+                k[0] = f(y)  # E5 and E3 weigh it 0, so a rejected state skips it
                 if clipped:
                     times.append(t)
                     states.append(SampledSequence(system.grid, y))
@@ -199,6 +236,7 @@ def integrate(
                 rejected += 1
             # a rejection's factor is below 0.9, so the clamp to 5 keeps it
             h = h_use * (_MAX_FACTOR if enorm == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)))
+                _MAX_FACTOR,
+                max(_MIN_FACTOR, _SAFETY * enorm ** (-1.0 / (_ERROR_ORDER + 1)))))
 
-    return Trajectory(tuple(times), tuple(states), accepted, rejected)
+    return Trajectory(tuple(times), tuple(states), accepted, rejected, rhs_calls)

@@ -34,7 +34,7 @@ _SQRT2 = math.sqrt(2.0)
 
 # Rosenau metadata, precomputed once by a quadrature oracle (piecewise
 # adaptive quadrature between the integrand's sign changes, cross-checked
-# in the test suite against scipy.integrate.quad and the closed form
+# in the test suite against SciPy's integrate.quad and the closed form
 # |mu| = sqrt(2)/2 * coth(pi/2)):
 #   mu   = total variation of beta'    (beta' is absolutely continuous)
 #   nu   = total variation of beta''   (beta'' is absolutely continuous)

@@ -116,6 +116,8 @@ class TestSimulate:
         assert summary["command"] == "simulate"
         assert summary["linf_error"] > 0.0
         assert summary["snapshot_times"] == [0.0, 0.5, 1.0]
+        assert summary["rhs_calls"] == (12 * summary["accepted_steps"]
+                                        + 11 * summary["rejected_steps"] + 2)
 
     def test_zero_horizon_single_profile_zero_error(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=0.0)
@@ -124,6 +126,7 @@ class TestSimulate:
         assert len(profiles) == 1
         summary = read_json(os.path.join(outdir, "summary.json"))
         assert summary["linf_error"] == 0.0
+        assert summary["rhs_calls"] == 0
 
     def test_output_override(self, tmp_path):
         cfg, _ = write_config(tmp_path)
@@ -366,6 +369,9 @@ class TestDecay:
         summary = read_json(os.path.join(outdir, "summary.json"))
         assert summary["holds_at_all_snapshots"] is True
         assert summary["holds_where_exact_has_headroom"] is True
+        assert summary["accepted_steps"] > 0
+        assert summary["rhs_calls"] == (12 * summary["accepted_steps"]
+                                        + 11 * summary["rejected_steps"] + 2)
 
     def test_zero_initial_data_custom(self, tmp_path):
         kfile = tmp_path / "kernel.txt"

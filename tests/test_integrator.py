@@ -1,9 +1,10 @@
-"""Adaptive Dormand-Prince integration against independent oracles."""
+"""Adaptive DOP853 integration against independent oracles."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients as dop853
 from scipy.linalg import expm
 
 from nlwave import (
@@ -15,11 +16,16 @@ from nlwave import (
     StepFailureError,
     TruncatedSystem,
     bbm_kernel,
+    bbm_problem,
     bbm_solitary,
     build_system,
     initial_data,
     integrate,
+    restrict,
+    rosenau_problem,
+    tabulated_kernel,
 )
+from nlwave.integrator import _A, _B, _E3, _E5
 
 
 def decay_stub(n_half=1, h=1.0, rate=1.0):
@@ -98,6 +104,67 @@ BLOW_UP_CASES = {
     "fft_convolution_overflow": (fft_convolution_overflow, "non-finite"),
     "cubic_overflow": (cubic_overflow, "non-finite"),
 }
+
+
+def hamiltonian(nonlinearity, state):
+    """Discrete Hamiltonian ``sum_i h F(v_i)`` with ``F' = f``, ``F(0) = 0``."""
+    v = state.values
+    big_f = sum(c * v ** (p + 1) / (p + 1) for p, c in nonlinearity.terms)
+    return state.grid.h * float(np.sum(big_f))
+
+
+def solitary_run(problem, h, n_half, t_end):
+    g = Grid(h=h, n_half=n_half)
+    return problem.kernel, problem.nonlinearity, initial_data(problem.wave, g), t_end
+
+
+def tabulated_run():
+    # 0.5 exp(-|x|) interpolated on 401 nodes: an even kernel with no
+    # closed-form solution, driven by the bbm f from a Gaussian
+    x = np.linspace(-10.0, 10.0, 401)
+    g = Grid(h=0.1, n_half=200)
+    init = restrict(lambda z: 0.8 * np.exp(-z * z), g)
+    return (tabulated_kernel(x, 0.5 * np.exp(-np.abs(x))), Nonlinearity.bbm(1),
+            init, 10.0)
+
+
+# kernel, nonlinearity, initial state and horizon of each Hamiltonian run
+HAMILTONIAN_RUNS = {
+    "bbm": lambda: solitary_run(bbm_problem(), 0.1, 300, 20.0),
+    "rosenau": lambda: solitary_run(rosenau_problem(), 0.05, 240, 10.0),
+    "tabulated": tabulated_run,
+}
+
+
+class TestTableau:
+    def test_constants_match_scipy_bit_for_bit(self):
+        for i, row in enumerate(_A):
+            np.testing.assert_array_equal(row, dop853.A[i, :i])
+            assert not np.any(dop853.A[i, i:])
+        np.testing.assert_array_equal(_B, dop853.B)
+        # the 13th stage, f at the new state, carries no error weight
+        np.testing.assert_array_equal(_E5, dop853.E5[:12])
+        np.testing.assert_array_equal(_E3, dop853.E3[:12])
+        assert dop853.E5[12] == dop853.E3[12] == 0.0
+
+    def test_row_sums_equal_the_nodes(self):
+        sums = [float(np.sum(row)) for row in _A]
+        np.testing.assert_allclose(sums, dop853.C[:12], rtol=0.0, atol=1e-15)
+
+    def test_observed_order_is_eight(self):
+        # tolerances so loose that every step is clipped onto the snapshot
+        # grid, so the run takes fixed steps of size d
+        loose = IntegratorConfig(rel_tol=0.5, abs_tol=0.5)
+        errors = []
+        for d in (1 / 4, 1 / 8, 1 / 16, 1 / 32):
+            system = decay_stub(rate=4.0)
+            snaps = [d * j for j in range(1, round(2.0 / d) + 1)]
+            traj = integrate(system, SampledSequence(system.grid, np.ones(3)),
+                             2.0, snaps, loose)
+            assert traj.accepted_steps == len(snaps)
+            errors.append(np.max(np.abs(traj.final.values - math.exp(-8.0))))
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert all(7.5 <= q <= 8.5 for q in orders), orders
 
 
 class TestConfigValidation:
@@ -194,6 +261,20 @@ class TestLinearOracle:
         assert e_tight <= 10.0 * e_loose
 
 
+class TestDiscreteHamiltonian:
+    @pytest.mark.parametrize("case", list(HAMILTONIAN_RUNS))
+    def test_drift_is_time_integration_error_alone(self, case):
+        # an even kernel gives an odd stencil, so the truncated matrix is skew
+        # and the semi-discrete system conserves sum_i h F(v_i) exactly
+        kernel, nonlinearity, init, t_end = HAMILTONIAN_RUNS[case]()
+        system = build_system(kernel, init.grid, nonlinearity)
+        snaps = [t_end * j / 10 for j in range(1, 11)]
+        traj = integrate(system, init, t_end, snaps)
+        h0 = hamiltonian(nonlinearity, traj.states[0])
+        drift = max(abs(hamiltonian(nonlinearity, s) - h0) for s in traj.states)
+        assert drift <= 1e-7 * abs(h0)  # 1e3 times the default tolerances
+
+
 class TestStepControl:
     def test_no_spatial_stability_restriction(self):
         # halving h must not (more than) double the accepted step count
@@ -229,3 +310,19 @@ class TestStepControl:
         system, init = above_threshold()
         with pytest.raises(BlowUpError, match="threshold"):
             integrate(system, init, 0.0)
+
+
+class TestRhsCount:
+    def test_twelve_per_accepted_step_eleven_per_rejection(self):
+        # on u' = -50 u the controller overshoots and rejects steps; the +2
+        # are f(y0) and the first-step heuristic's probe
+        system = decay_stub(rate=50.0)
+        traj = integrate(system, SampledSequence(system.grid, np.ones(3)), 1.0)
+        assert traj.rejected_steps > 0
+        assert traj.rhs_calls == (
+            12 * traj.accepted_steps + 11 * traj.rejected_steps + 2)
+
+    def test_zero_horizon_evaluates_nothing(self):
+        system = decay_stub()
+        traj = integrate(system, SampledSequence(system.grid, np.ones(3)), 0.0)
+        assert traj.rhs_calls == 0
