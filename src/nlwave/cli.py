@@ -125,6 +125,7 @@ def cmd_simulate(cfg: RunConfig):
         "accepted_steps": study.record.accepted_steps,
         "rejected_steps": traj.rejected_steps,
         "rhs_calls": traj.rhs_calls,
+        "fft_length": study.record.fft_length,
         "mass_initial": study.mass_initial,
         "mass_final": study.mass_final,
         "relative_mass_drift": study.relative_mass_drift,
@@ -209,6 +210,7 @@ def cmd_decay(cfg: RunConfig):
         "accepted_steps": traj.accepted_steps,
         "rejected_steps": traj.rejected_steps,
         "rhs_calls": traj.rhs_calls,
+        "fft_length": study.record.fft_length,
     }
 
 

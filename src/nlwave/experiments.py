@@ -6,6 +6,7 @@ domain-truncation sweep at fixed mesh size.  The sweeps run their grids
 one after another, in the order of their parameter lists.
 """
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -42,7 +43,10 @@ class DegenerateRateError(ValueError):
 
 @dataclass(frozen=True)
 class ErrorRecord:
-    """One run's error sample plus cost metadata."""
+    """One run's error sample plus cost metadata.
+
+    ``fft_length`` is the convolution's FFT cycle, ``None`` on the direct path.
+    """
 
     h: float
     n_half: int
@@ -50,6 +54,7 @@ class ErrorRecord:
     linf_error: float
     accepted_steps: int
     wall_time: float
+    fft_length: int | None = None
 
     def __post_init__(self):
         if self.linf_error < 0:
@@ -180,6 +185,7 @@ def run_single(cfg: StudyConfig, grid: Grid):
         linf_error=err,
         accepted_steps=traj.accepted_steps,
         wall_time=wall,
+        fft_length=system.fft_length,
     )
     return traj, record
 
@@ -237,10 +243,7 @@ def run_h_refinement(
             if shared.size != grid.node_count:
                 raise ValueError("self-refinement requires nested grids")
             err = float(np.max(np.abs(traj.final.values - shared)))
-            fixed.append(
-                ErrorRecord(rec.h, rec.n_half, rec.t, err,
-                            rec.accepted_steps, rec.wall_time)
-            )
+            fixed.append(dataclasses.replace(rec, linf_error=err))
         records = fixed
 
     out: list[tuple[ErrorRecord, RateEstimate | None]] = []

@@ -8,12 +8,14 @@ has no mesh-size stability restriction.
 
 This module is the one place that computes that convolution.  It has two
 paths that give the same values to rounding: a direct sum
-(``convolve_rhs_direct``) below half-width ``FAST_CONV_MIN_N``, and above it
-a product of real FFTs.  The FFT path zero-pads both factors to the next
-power of two at or above the full linear length ``6N+1``, so the cyclic
-transform never wraps, and transforms the stencil once when the system is
-built.  The right-hand side checks only the state's length: blow-up is a
-property of the trajectory, so ``integrate`` owns that rule.
+(``convolve_rhs_direct``) below half-width ``FAST_CONV_MIN_N``, and from it
+upward a product of real FFTs.  The FFT path uses the shortest 5-smooth
+cycle of at least ``4N+1`` points: the cyclic convolution then wraps only
+into entries outside the window ``2N..4N`` that the right-hand side reads.
+The cycle length and the stencil's transform are fixed when the system is
+built.  ``f`` is evaluated by Horner's rule.  The right-hand side checks
+only the state's length: blow-up is a property of the trajectory, so
+``integrate`` owns that rule.
 """
 
 import math
@@ -38,9 +40,11 @@ __all__ = [
 # Finite stand-in for the asymptotic blow-up condition limsup |v| = inf.
 DEFAULT_BLOW_UP_THRESHOLD = 1e6
 
-# Below this half-width the direct path beats the FFT path; fast_mode
-# "on"/"off" force either one for cross-checking.
-FAST_CONV_MIN_N = 32
+# Below this half-width the direct path beats the FFT path.  Timed per call
+# with numpy 2.4 on a 2-core Xeon, the two tie within noise at N = 220..260;
+# whole runs favour the direct path at N = 240 and the FFT path at N = 260.
+# fast_mode "on"/"off" force either one for cross-checking.
+FAST_CONV_MIN_N = 250
 
 
 class BlowUpError(RuntimeError):
@@ -53,9 +57,12 @@ class Nonlinearity:
 
     ``terms`` is a tuple of ``(power, coefficient)`` pairs with strictly
     positive integer powers; a constant term is structurally impossible.
+    ``_coeffs`` holds ``c_1..c_P`` densely, repeated powers summed, for
+    Horner's rule on ``f(u) = u (c_1 + c_2 u + ... + c_P u^{P-1})``.
     """
 
     terms: tuple[tuple[int, float], ...]
+    _coeffs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -67,7 +74,11 @@ class Nonlinearity:
             if not math.isfinite(coeff):
                 raise ValueError("term coefficients must be finite")
             cleaned.append((int(power), float(coeff)))
+        coeffs = [0.0] * max(power for power, _ in cleaned)
+        for power, coeff in cleaned:
+            coeffs[power - 1] += coeff
         object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
 
     @classmethod
     def bbm(cls, p: int = 1) -> "Nonlinearity":
@@ -81,9 +92,12 @@ class Nonlinearity:
 
     def evaluate_values(self, v: np.ndarray) -> np.ndarray:
         """Entrywise evaluation on a raw array (hot path, no guards)."""
-        out = np.zeros_like(v)
-        for power, coeff in self.terms:
-            out += coeff * v**power
+        *low, top = self._coeffs
+        out = top * v
+        for coeff in reversed(low):
+            if coeff:
+                out += coeff
+            out *= v
         return out
 
     def max_abs_on_interval(self, bound: float, samples: int = 513) -> float:
@@ -102,6 +116,8 @@ class TruncatedSystem:
     every difference ``x_i - x_j`` of grid nodes is covered.  ``fast_mode``
     selects the convolution path: ``"auto"`` uses the FFT path from
     ``N >= FAST_CONV_MIN_N`` upward, ``"on"``/``"off"`` force it.
+    ``fft_length`` is the FFT path's cycle length, ``None`` on the direct
+    path.
     """
 
     grid: Grid
@@ -109,7 +125,8 @@ class TruncatedSystem:
     nonlinearity: Nonlinearity
     blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD
     fast_mode: str = "auto"
-    _stencil_fft: np.ndarray = field(init=False, repr=False)
+    fft_length: int | None = field(init=False)
+    _stencil_fft: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         stencil = np.array(self.stencil, dtype=float, copy=True)
@@ -122,16 +139,17 @@ class TruncatedSystem:
             raise ValueError("blow-up threshold must be positive")
         if self.fast_mode not in ("auto", "on", "off"):
             raise ValueError("fast_mode must be 'auto', 'on' or 'off'")
+        fast = self.fast_mode == "on" or (
+            self.fast_mode == "auto" and n >= FAST_CONV_MIN_N)
+        nfft = _fft_length(n) if fast else None
         object.__setattr__(self, "stencil", stencil)
-        object.__setattr__(self, "_stencil_fft", np.fft.rfft(stencil, _fft_length(n)))
+        object.__setattr__(self, "fft_length", nfft)
+        object.__setattr__(self, "_stencil_fft",
+                           np.fft.rfft(stencil, nfft) if fast else None)
 
     @property
     def use_fast(self) -> bool:
-        if self.fast_mode == "on":
-            return True
-        if self.fast_mode == "off":
-            return False
-        return self.grid.n_half >= FAST_CONV_MIN_N
+        return self.fft_length is not None
 
     def stencil_l1(self) -> float:
         """Mesh-weighted stencil norm ``sum_k h |Dbeta_h(k)|``."""
@@ -142,18 +160,30 @@ class TruncatedSystem:
         if v.shape != (self.grid.node_count,):
             raise ValueError(f"state shape {v.shape} does not match the grid")
         g = self.nonlinearity.evaluate_values(v)
+        nfft = self.fft_length
+        if nfft is None:
+            return convolve_rhs_direct(self.stencil, g, self.grid.h)
         n = self.grid.n_half
-        if self.use_fast:
-            nfft = _fft_length(n)
-            conv = np.fft.irfft(np.fft.rfft(g, nfft) * self._stencil_fft, nfft)
-            return -self.grid.h * conv[2 * n : 4 * n + 1]
-        return convolve_rhs_direct(self.stencil, g, self.grid.h)
+        conv = np.fft.irfft(np.fft.rfft(g, nfft) * self._stencil_fft, nfft)
+        return -self.grid.h * conv[2 * n : 4 * n + 1]
 
 
 def _fft_length(n_half: int) -> int:
-    # next power of two at or above the full linear length 6N+1 of the
-    # (2N+1)-entry f(v) convolved with the (4N+1)-entry stencil
-    return 1 << (6 * n_half).bit_length()
+    # The linear convolution of the (2N+1)-entry f(v) with the (4N+1)-entry
+    # stencil has entries 0..6N; a cycle of length L adds entry m + L onto m.
+    # The window 2N..4N is clean iff 2N + L > 6N, so L = 4N+1 is the shortest
+    # alias-free cycle; take the smallest 2^a 3^b 5^c at or above it.
+    target = 4 * n_half + 1
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-target // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def convolve_rhs_direct(stencil: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:

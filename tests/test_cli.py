@@ -15,6 +15,7 @@ import nlwave.cli
 import nlwave.config
 from nlwave.cli import main
 from nlwave.config import ConfigError, load_run_config
+from nlwave.system import FAST_CONV_MIN_N, _fft_length
 
 BBM_EQUATION = "kind = bbm\np = 1\nc = 1.8\nx0 = -3.0"
 CUSTOM_EQUATION = "kind = custom\nkernel_file = kernel.txt\nnonlinearity = 1:1.0"
@@ -118,6 +119,22 @@ class TestSimulate:
         assert summary["snapshot_times"] == [0.0, 0.5, 1.0]
         assert summary["rhs_calls"] == (12 * summary["accepted_steps"]
                                         + 11 * summary["rejected_steps"] + 2)
+        assert summary["fft_length"] is None  # N = 48 takes the direct path
+        assert set(summary) >= {  # later keys may join, none may leave
+            "command", "equation", "domain_half_width", "h", "t_end",
+            "rel_tol", "abs_tol", "profiles", "snapshot_times", "linf_error",
+            "accepted_steps", "rejected_steps", "rhs_calls", "fft_length",
+            "mass_initial", "mass_final", "relative_mass_drift",
+            "wall_seconds"}
+
+    @pytest.mark.parametrize("command", ["simulate", "decay"])
+    def test_summary_reports_the_fft_cycle(self, tmp_path, command):
+        # N = FAST_CONV_MIN_N is the smallest grid on the FFT path
+        cfg, outdir = write_config(tmp_path, t_end=0.1,
+                                   half=0.05 * FAST_CONV_MIN_N, h=0.05)
+        assert main([command, "--config", cfg]) == 0
+        summary = read_json(os.path.join(outdir, "summary.json"))
+        assert summary["fft_length"] == _fft_length(FAST_CONV_MIN_N)
 
     def test_zero_horizon_single_profile_zero_error(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=0.0)
@@ -372,6 +389,7 @@ class TestDecay:
         assert summary["accepted_steps"] > 0
         assert summary["rhs_calls"] == (12 * summary["accepted_steps"]
                                         + 11 * summary["rejected_steps"] + 2)
+        assert summary["fft_length"] is None  # N = 48 takes the direct path
 
     def test_zero_initial_data_custom(self, tmp_path):
         kfile = tmp_path / "kernel.txt"

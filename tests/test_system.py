@@ -18,7 +18,7 @@ from nlwave import (
     initial_data,
     rosenau_kernel,
 )
-from nlwave.system import convolve_rhs_direct
+from nlwave.system import FAST_CONV_MIN_N, _fft_length, convolve_rhs_direct
 
 
 def rhs_oracle(stencil, h, n, g):
@@ -30,6 +30,14 @@ def rhs_oracle(stencil, h, n, g):
             acc += stencil[i - j + 2 * n] * g[j + n]
         out[i + n] = -h * acc
     return out
+
+
+def is_5_smooth(m):
+    """Whether m has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 class TestNonlinearity:
@@ -63,6 +71,19 @@ class TestNonlinearity:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Nonlinearity(())
+
+    @pytest.mark.parametrize("f", [
+        *(Nonlinearity.bbm(p) for p in (1, 2, 3, 4)),
+        Nonlinearity.rosenau(),
+        Nonlinearity(((1, 1.0), (4, 2.0), (4, -0.5))),  # gap, repeated power
+    ])
+    def test_horner_matches_power_sum(self, f):
+        v = np.random.default_rng(5).uniform(-1.5, 1.5, 1001)
+        expected = sum(c * v**p for p, c in f.terms)
+        # relative to sum |c v^p|, the size of the terms that may cancel
+        scale = sum(abs(c) * np.abs(v)**p for p, c in f.terms)
+        assert np.all(np.abs(f.evaluate_values(v) - expected) <= 1e-12 * scale)
+        assert f.evaluate_values(np.zeros(4)).tolist() == [0.0] * 4
 
     def test_max_abs_on_interval(self):
         f = Nonlinearity.rosenau()
@@ -157,12 +178,29 @@ class TestRhs:
         assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_fast_mode_auto_threshold(self):
-        small = build_system(bbm_kernel(), Grid(h=0.5, n_half=16),
-                             Nonlinearity.bbm(1))
-        large = build_system(bbm_kernel(), Grid(h=0.5, n_half=64),
-                             Nonlinearity.bbm(1))
-        assert not small.use_fast
+        small, large = (build_system(bbm_kernel(), Grid(h=0.5, n_half=n),
+                                     Nonlinearity.bbm(1))
+                        for n in (FAST_CONV_MIN_N - 1, FAST_CONV_MIN_N))
+        assert not small.use_fast and small.fft_length is None
         assert large.use_fast
+        assert large.fft_length == _fft_length(FAST_CONV_MIN_N)
+
+    def test_fft_cycle_is_shortest_alias_free_5_smooth(self):
+        # 4N+1 is itself 5-smooth at the tight cases N = 1, 2, 6, 11, 20, 31,
+        # 56, 101, where a cycle one shorter would alias into the window
+        tight = [n for n in range(1, 131) if is_5_smooth(4 * n + 1)]
+        assert tight == [1, 2, 6, 11, 20, 31, 56, 101]
+        rng = np.random.default_rng(17)
+        for n in range(1, 131):
+            length = _fft_length(n)
+            assert is_5_smooth(length) and length >= 4 * n + 1
+            assert not any(is_5_smooth(m) for m in range(4 * n + 1, length))
+            g = Grid(h=0.3, n_half=n)
+            fast, direct = (build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
+                                         fast_mode=mode) for mode in ("on", "off"))
+            assert fast.fft_length == length
+            v = rng.uniform(-1.0, 1.0, g.node_count)
+            assert np.max(np.abs(fast.rhs_values(v) - direct.rhs_values(v))) < 1e-12
 
     @pytest.mark.parametrize("fast_mode", ["on", "off"])
     def test_wrong_state_length_rejected(self, fast_mode):
