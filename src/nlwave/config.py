@@ -2,10 +2,13 @@
 
 One file describes one study and loads into a ``RunConfig``, which is the
 library's ``StudyConfig`` plus the CLI's study lists, decay rate and output
-directory.  Loading checks the INI format and the section and key names
-here, and every value with the class that owns it, so a bad file, or a
-section or key the loader does not read, fails with ``ConfigError`` before
-anything runs or is written.  Example::
+directory.  One table, ``_KEYS`` with ``_EQUATION_KEYS``, names every key
+the loader reads and the parser of its value.  Loading checks the INI
+format and the section and key names against it, and every value with the
+class that owns it, so a bad file, or a section or key the table does not
+name, fails with ``ConfigError`` before anything runs or is written.  A key
+that is absent keeps the default of the class it sets, and a blank value is
+the same as an absent key.  Example::
 
     [equation]
     kind = bbm
@@ -38,12 +41,13 @@ anything runs or is written.  Example::
 Custom equations replace the bbm/rosenau keys with ``kernel_file`` (two
 whitespace-delimited columns, ``#`` comments), a ``nonlinearity`` term list
 ``power:coefficient, ...`` and an ``initial`` profile (``gaussian`` or
-``sech`` with amplitude/width/center keys).  ``_KEYS`` and
-``_EQUATION_KEYS`` name every key read.  The decay envelope's scale comes
-from the equation and its constant from the t=0 state.
+``sech`` with ``initial_amplitude``, ``initial_width`` and ``initial_center``
+keys).  The decay envelope's scale comes from the equation and its constant
+from the t=0 state.
 """
 
 import configparser
+import inspect
 import os
 from dataclasses import dataclass
 
@@ -77,181 +81,144 @@ class RunConfig(StudyConfig):
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    try:
-        return tuple(float(s) for s in items)
-    except ValueError as exc:
-        raise ConfigError(f"bad number list: {raw!r}") from exc
+    return tuple(float(s) for s in raw.split(",") if s.strip())
+
+
+def _whole(raw: str) -> int:
+    value = float(raw)
+    if value != int(value):
+        raise ValueError(f"expected a whole number, got {raw!r}")
+    return int(value)
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    values = _float_list(raw)
-    if any(v != int(v) for v in values):
-        raise ConfigError(f"expected integers: {raw!r}")
-    return tuple(int(v) for v in values)
+    return tuple(_whole(s) for s in raw.split(",") if s.strip())
 
 
-def _parse_nonlinearity(raw: str) -> Nonlinearity:
+def _nonlinearity(raw: str) -> Nonlinearity:
     terms = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in filter(None, (s.strip() for s in raw.split(","))):
         try:
-            power_s, coeff_s = piece.split(":")
-            terms.append((int(power_s), float(coeff_s)))
+            power, coeff = piece.split(":")
+            terms.append((int(power), float(coeff)))
         except ValueError as exc:
-            raise ConfigError(
-                f"bad nonlinearity term {piece!r}; expected power:coefficient"
-            ) from exc
-    try:
-        return Nonlinearity(tuple(terms))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            raise ValueError(
+                f"bad term {piece!r}; expected power:coefficient") from exc
+    return Nonlinearity(tuple(terms))
 
 
-class _InitialProfile:
+def _initial_profile(initial="gaussian", initial_amplitude=1.0,
+                     initial_width=1.0, initial_center=0.0):
     """Gaussian or sech bump used as custom initial data."""
+    if initial not in ("gaussian", "sech"):
+        raise ConfigError(f"unknown initial profile kind {initial!r}")
+    if initial_width <= 0:
+        raise ConfigError("initial profile width must be positive")
 
-    def __init__(self, kind, amplitude, width, center):
-        if kind not in ("gaussian", "sech"):
-            raise ConfigError(f"unknown initial profile kind {kind!r}")
-        if width <= 0:
-            raise ConfigError("initial profile width must be positive")
-        self.kind = kind
-        self.amplitude = amplitude
-        self.width = width
-        self.center = center
-
-    def __call__(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.width
-        if self.kind == "gaussian":
-            return self.amplitude * np.exp(-z * z)
-        return self.amplitude / np.cosh(z)
+    def profile(x):
+        z = (np.asarray(x, dtype=float) - initial_center) / initial_width
+        if initial == "gaussian":
+            return initial_amplitude * np.exp(-z * z)
+        return initial_amplitude / np.cosh(z)
+    return profile
 
 
-# The sections and keys the loader reads.  Any other name is refused, so a
-# misspelt key cannot leave a run on the default it meant to replace.
-_KEYS = {
-    "equation": {"kind", "blow_up_threshold"},
-    "grid": {"domain_half_width", "h"},
-    "time": {"t_end", "snapshots"},
-    "integrator": {"rel_tol", "abs_tol", "max_steps"},
-    "study": {"h_list", "n_list"},
-    "decay": {"rate"},
-    "output": {"dir"},
-}
-# The further [equation] keys each kind reads.
-_EQUATION_KEYS = {
-    "bbm": {"p", "c", "x0"},
-    "rosenau": {"x0"},
-    "custom": {"kernel_file", "nonlinearity", "initial", "initial_amplitude",
-               "initial_width", "initial_center"},
-}
-
-
-def _check_names(parser) -> str:
-    """Refuse sections and keys the loader does not read; returns the kind."""
-    for name in ("equation", "grid", "time"):
-        if not parser.has_section(name):
-            raise ConfigError(f"missing [{name}] section")
-    kind = parser["equation"].get("kind", "").strip().lower()
-    if kind not in _EQUATION_KEYS:
-        raise ConfigError(
-            f"equation kind must be bbm, rosenau or custom, got {kind!r}")
-    for name in parser.sections():
-        if name not in _KEYS:
-            raise ConfigError(f"unknown section [{name}]")
-        known = _KEYS[name] | (_EQUATION_KEYS[kind] if name == "equation" else set())
-        unknown = sorted(set(parser[name]) - known)
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]")
-    return kind
-
-
-def _build_problem(sec, kind: str, base_dir: str) -> Problem:
-    if kind == "bbm":
-        return bbm_problem(
-            p=sec.getint("p", 1),
-            c=sec.getfloat("c", 1.8),
-            x0=sec.getfloat("x0", -18.0),
-        )
-    if kind == "rosenau":
-        return rosenau_problem(x0=sec.getfloat("x0", -2.5))
-    path = sec.get("kernel_file", "").strip()
-    if not path:
-        raise ConfigError("custom equations need a kernel_file")
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    if not os.path.exists(path):
-        raise ConfigError(f"kernel file not found: {path}")
+def _custom_problem(base_dir, kernel_file, nonlinearity, **initial) -> Problem:
+    path = os.path.join(base_dir, kernel_file)
     try:
         kernel = kernel_from_file(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad kernel file {path}: {exc}") from exc
-    raw_terms = sec.get("nonlinearity", "").strip()
-    if not raw_terms:
-        raise ConfigError("custom equations need a nonlinearity term list")
-    nl = _parse_nonlinearity(raw_terms)
-    profile = _InitialProfile(
-        sec.get("initial", "gaussian").strip().lower(),
-        sec.getfloat("initial_amplitude", 1.0),
-        sec.getfloat("initial_width", 1.0),
-        sec.getfloat("initial_center", 0.0),
-    )
-    return custom_problem(kernel, nl, profile)
+    return custom_problem(kernel, nonlinearity, _initial_profile(**initial))
+
+
+# section -> key -> parser.  Any other name is refused, so a misspelt key
+# cannot leave a run on the default it meant to replace.  The kind has no
+# parser: it is read first, since it selects the further [equation] keys.
+_KEYS = {
+    "equation": {"kind": None, "blow_up_threshold": float},
+    "grid": {"domain_half_width": float, "h": float},
+    "time": {"t_end": float, "snapshots": _float_list},
+    "integrator": {"rel_tol": float, "abs_tol": float, "max_steps": _whole},
+    "study": {"h_list": _float_list, "n_list": _int_list},
+    "decay": {"rate": float},
+    "output": {"dir": str},
+}
+# The further [equation] keys of each kind: its problem factory's parameters.
+_EQUATION_KEYS = {
+    "bbm": {"p": int, "c": float, "x0": float},
+    "rosenau": {"x0": float},
+    "custom": {"kernel_file": str, "nonlinearity": _nonlinearity,
+               "initial": str.lower, "initial_amplitude": float,
+               "initial_width": float, "initial_center": float},
+}
+# The RunConfig fields of the keys named otherwise.
+_FIELDS = {"snapshots": "snapshot_times", "rate": "decay_rate",
+           "dir": "output_dir"}
+
+
+def _read(parser, name, table) -> dict:
+    """``{field: value}`` of each key that [name] sets to a non-blank value;
+    refuses a key ``table`` does not name."""
+    values = {}
+    for key, raw in (parser[name] if parser.has_section(name) else {}).items():
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in [{name}]")
+        if raw and table[key]:  # configparser strips values
+            try:
+                values[_FIELDS.get(key, key)] = table[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key} in [{name}]: {exc}") from exc
+    return values
+
+
+def _call(owner, *args, **values):
+    """``owner(*args, **values)``; a parameter without a default that no key
+    sets is a ``ConfigError``."""
+    try:
+        inspect.signature(owner).bind(*args, **values)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
+    return owner(*args, **values)
 
 
 def load_run_config(path: str) -> RunConfig:
     """Parse a configuration file and check every value in it.
 
     This function checks the INI format and the section and key names
-    against ``_KEYS``; each value is checked by the class that owns it
-    (``Grid``, ``StudyConfig``, ``IntegratorConfig``, ``DecayEnvelope``),
-    and their ``ValueError`` becomes a ``ConfigError``.
+    against ``_KEYS`` and ``_EQUATION_KEYS``; each value is checked by the
+    class that owns it (``Grid``, ``StudyConfig``, ``IntegratorConfig``,
+    ``DecayEnvelope``), and their ``ValueError`` becomes a ``ConfigError``.
     """
     parser = configparser.ConfigParser()
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
-
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file: {path}")
-        kind = _check_names(parser)
-        problem = _build_problem(parser["equation"], kind,
-                                 os.path.dirname(os.path.abspath(path)))
-        grid_sec, time_sec = parser["grid"], parser["time"]
-        half = _get(grid_sec, "domain_half_width")
-        h = _get(grid_sec, "h")
-        if half is None or h is None:
-            raise ConfigError("[grid] needs domain_half_width and h")
-        t_end = _get(time_sec, "t_end")
-        if t_end is None:
-            raise ConfigError("[time] needs t_end")
-        integ = _present(section("integrator"), rel_tol="rel_tol",
-                         abs_tol="abs_tol", max_steps="max_steps")
-        if "max_steps" in integ:
-            if integ["max_steps"] != int(integ["max_steps"]):
-                raise ConfigError("max_steps must be a whole number")
-            integ["max_steps"] = int(integ["max_steps"])
-        rate = _get(section("decay"), "rate")
-        if rate is not None:
-            DecayEnvelope(rate=rate)
-        study_sec, out_sec = section("study"), section("output")
-        cfg = RunConfig(
-            problem=problem,
-            domain_half_width=half,
-            h=h,
-            t_end=t_end,
-            snapshot_times=_float_list(time_sec.get("snapshots", "")),
-            integrator=IntegratorConfig(**integ),
-            h_list=_float_list(study_sec.get("h_list", "")),
-            n_list=_int_list(study_sec.get("n_list", "")),
-            decay_rate=rate,
-            **_present(parser["equation"], blow_up_threshold="blow_up_threshold"),
-            **({"output_dir": out_sec["dir"]} if "dir" in out_sec else {}),
-        )
+        for name in ("equation", "grid", "time"):
+            if not parser.has_section(name):
+                raise ConfigError(f"missing [{name}] section")
+        for name in parser.sections():
+            if name not in _KEYS:
+                raise ConfigError(f"unknown section [{name}]")
+        kind = parser["equation"].get("kind", "").lower()
+        if kind not in _EQUATION_KEYS:
+            raise ConfigError(
+                f"equation kind must be bbm, rosenau or custom, got {kind!r}")
+        tables = {**_KEYS, "equation": {**_KEYS["equation"], **_EQUATION_KEYS[kind]}}
+        values = {name: _read(parser, name, table) for name, table in tables.items()}
+        keys = {key: values["equation"].pop(key)
+                for key in _EQUATION_KEYS[kind] if key in values["equation"]}
+        if kind == "custom":
+            problem = _call(_custom_problem,
+                            os.path.dirname(os.path.abspath(path)), **keys)
+        else:
+            problem = {"bbm": bbm_problem, "rosenau": rosenau_problem}[kind](**keys)
+        integrator = IntegratorConfig(**values.pop("integrator"))
+        # every other key sets a RunConfig field
+        fields = {k: v for section in values.values() for k, v in section.items()}
+        cfg = _call(RunConfig, problem=problem, integrator=integrator, **fields)
+        if cfg.decay_rate is not None:
+            DecayEnvelope(rate=cfg.decay_rate)
         cfg.grid()
         cfg.sweep_grids(cfg.h_list, cfg.n_list)
     except ConfigError:
@@ -259,20 +226,3 @@ def load_run_config(path: str) -> RunConfig:
     except (ValueError, OverflowError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
-
-
-def _present(section, **keys) -> dict:
-    """``{field: float value}`` for each ``field=key`` the section sets."""
-    values = {field: _get(section, key) for field, key in keys.items()}
-    return {field: v for field, v in values.items() if v is not None}
-
-
-def _get(section, key):
-    """Float value of a key, or None when it is absent or blank."""
-    raw = section.get(key, None)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value for {key}: {raw!r}") from exc

@@ -265,9 +265,13 @@ class TruncationRecord:
     eps_delta: float  # max |f| over [-delta, delta]
 
 
-def _boundary_band_sup(traj: Trajectory, band_fraction: float) -> float:
+BAND_FRACTION = 0.05
+PLATEAU_RATIO = 0.9
+
+
+def _boundary_band_sup(traj: Trajectory) -> float:
     n = traj.states[0].grid.node_count
-    band = max(1, int(round(band_fraction * n)))
+    band = max(1, int(round(BAND_FRACTION * n)))
     sup = 0.0
     for state in traj.states:
         v = state.values
@@ -276,13 +280,11 @@ def _boundary_band_sup(traj: Trajectory, band_fraction: float) -> float:
     return sup
 
 
-def run_truncation_study(
-    cfg: StudyConfig, n_values, band_fraction: float = 0.05
-) -> list[TruncationRecord]:
+def run_truncation_study(cfg: StudyConfig, n_values) -> list[TruncationRecord]:
     """Fixed-h error sweep over the number of grid points.
 
     The domain ``[-N h, N h]`` grows with N; the boundary band (outermost
-    ``band_fraction`` of nodes on each side) yields the diagnostics
+    ``BAND_FRACTION`` of nodes on each side) yields the diagnostics
     ``delta`` (band amplitude over all snapshots) and ``eps_delta``
     (max |f| over ``[-delta, delta]``).
     """
@@ -293,7 +295,7 @@ def run_truncation_study(
     records = []
     for grid in grids:
         traj, rec = run_single(cfg, grid)
-        delta = _boundary_band_sup(traj, band_fraction)
+        delta = _boundary_band_sup(traj)
         eps = cfg.problem.nonlinearity.max_abs_on_interval(delta)
         records.append(TruncationRecord(
             record=rec,
@@ -304,13 +306,14 @@ def run_truncation_study(
     return records
 
 
-def plateau_onset(records: list[TruncationRecord], ratio: float = 0.9) -> int | None:
-    """First N at which the next error stops improving by more than ``ratio``.
+def plateau_onset(records: list[TruncationRecord]) -> int | None:
+    """First N at which the next error stops improving by more than
+    ``PLATEAU_RATIO``.
 
     Returns the N of the first pair whose successive error ratio exceeds
     the threshold, or None when the errors keep falling throughout.
     """
     for a, b in zip(records, records[1:]):
-        if b.record.linf_error / a.record.linf_error > ratio:
+        if b.record.linf_error / a.record.linf_error > PLATEAU_RATIO:
             return a.record.n_half
     return None

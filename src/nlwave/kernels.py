@@ -69,15 +69,12 @@ class Kernel:
     second_derivative_total_variation : float or None
         ``|nu|(R)`` for ``nu = beta''``; present exactly when the class is
         ORDER_TWO.
-    name : str
-        Short identifier used in reports.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative_total_variation: float
     smoothness_class: SmoothnessClass
     second_derivative_total_variation: float | None = None
-    name: str = "kernel"
 
     def __post_init__(self):
         if self.derivative_total_variation < 0:
@@ -116,7 +113,6 @@ def bbm_kernel() -> Kernel:
         derivative_total_variation=1.0,
         smoothness_class=SmoothnessClass.ORDER_TWO,
         second_derivative_total_variation=2.0,
-        name="bbm",
     )
 
 
@@ -132,7 +128,6 @@ def rosenau_kernel() -> Kernel:
         derivative_total_variation=_ROSENAU_MU,
         smoothness_class=SmoothnessClass.ORDER_TWO,
         second_derivative_total_variation=_ROSENAU_NU,
-        name="rosenau",
     )
 
 
@@ -154,7 +149,7 @@ class _TabulatedEvaluate:
         return out
 
 
-def _piecewise_linear_tv(nodes, values):
+def _piecewise_linear_tv(values):
     # Total variation of the interpolant extended by zero: interior slopes
     # plus the jumps to zero at the support endpoints.
     return abs(values[0]) + float(np.sum(np.abs(np.diff(values)))) + abs(values[-1])
@@ -172,7 +167,6 @@ def tabulated_kernel(
     nodes,
     values,
     smoothness_class: SmoothnessClass = SmoothnessClass.ORDER_ONE,
-    name: str = "tabulated",
 ) -> Kernel:
     """Kernel defined by linear interpolation of ``(nodes, values)`` samples.
 
@@ -202,14 +196,13 @@ def tabulated_kernel(
         second_tv = _piecewise_linear_second_tv(nodes, values)
     return Kernel(
         evaluate=_TabulatedEvaluate(nodes.copy(), values.copy()),
-        derivative_total_variation=float(_piecewise_linear_tv(nodes, values)),
+        derivative_total_variation=float(_piecewise_linear_tv(values)),
         smoothness_class=smoothness_class,
         second_derivative_total_variation=second_tv,
-        name=name,
     )
 
 
-def kernel_from_file(path, name=None) -> Kernel:
+def kernel_from_file(path) -> Kernel:
     """Load a tabulated kernel from a two-column whitespace text file.
 
     Column one is the abscissa, column two the kernel value; ``#`` starts a
@@ -222,4 +215,4 @@ def kernel_from_file(path, name=None) -> Kernel:
     data = np.loadtxt(lines, comments="#", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"kernel file {path} must have exactly two columns")
-    return tabulated_kernel(data[:, 0], data[:, 1], name=name or "file")
+    return tabulated_kernel(data[:, 0], data[:, 1])

@@ -55,11 +55,10 @@ def custom_problem(
     kernel: Kernel,
     nonlinearity: Nonlinearity,
     initial_profile: Callable,
-    name: str = "custom",
 ) -> Problem:
     """User-supplied kernel, nonlinearity and initial profile; no oracle."""
     return Problem(
-        name=name,
+        name="custom",
         kernel=kernel,
         nonlinearity=nonlinearity,
         wave=None,

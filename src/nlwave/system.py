@@ -46,6 +46,8 @@ DEFAULT_BLOW_UP_THRESHOLD = 1e6
 # fast_mode "on"/"off" force either one for cross-checking.
 FAST_CONV_MIN_N = 250
 
+_MAX_SAMPLES = 513
+
 
 class BlowUpError(RuntimeError):
     """A run's state exceeded the blow-up threshold or became non-finite."""
@@ -100,11 +102,11 @@ class Nonlinearity:
             out *= v
         return out
 
-    def max_abs_on_interval(self, bound: float, samples: int = 513) -> float:
-        """max |f(z)| over |z| <= bound, by dense sampling."""
+    def max_abs_on_interval(self, bound: float) -> float:
+        """max |f(z)| over |z| <= bound, by sampling at ``_MAX_SAMPLES`` points."""
         if bound == 0.0:
             return 0.0
-        z = np.linspace(-bound, bound, samples)
+        z = np.linspace(-bound, bound, _MAX_SAMPLES)
         return float(np.max(np.abs(self.evaluate_values(z))))
 
 

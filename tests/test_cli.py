@@ -13,8 +13,9 @@ import pytest
 
 import nlwave.cli
 import nlwave.config
+from nlwave import IntegratorConfig, bbm_problem, rosenau_problem
 from nlwave.cli import main
-from nlwave.config import ConfigError, load_run_config
+from nlwave.config import _EQUATION_KEYS, _KEYS, ConfigError, RunConfig, load_run_config
 from nlwave.system import FAST_CONV_MIN_N, _fft_length
 
 BBM_EQUATION = "kind = bbm\np = 1\nc = 1.8\nx0 = -3.0"
@@ -300,6 +301,9 @@ class TestValidation:
         "kernel-comments-only": ("simulate", dict(
             kernel="# x value\n# no rows\n", equation=CUSTOM_EQUATION)),
         "kernel-empty": ("simulate", dict(kernel="", equation=CUSTOM_EQUATION)),
+        "kernel-missing": ("simulate", dict(equation=CUSTOM_EQUATION)),
+        "kernel-directory": ("simulate", dict(equation=CUSTOM_EQUATION.replace(
+            "kernel.txt", "."))),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -311,6 +315,56 @@ class TestValidation:
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("nlwave: config error: ")
         assert set(os.listdir(tmp_path)) <= {"run.ini", "kernel.txt"}
+
+
+def minimal_config(tmp_path, kind, blank=None):
+    """The config of ``kind`` with only the keys that have no default;
+    ``blank`` names a ``(section, key)`` written with no value."""
+    sections = {"equation": {"kind": kind},
+                "grid": {"domain_half_width": "12", "h": "0.25"},
+                "time": {"t_end": "1"}}
+    if blank:
+        section, key = blank
+        sections.setdefault(section, {})[key] = ""
+    path = tmp_path / "minimal.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()))
+    return str(path)
+
+
+class TestDefaults:
+    # an absent key keeps the default of the class it sets, and a blank
+    # value is an absent key
+    @pytest.mark.parametrize("kind, problem", [("bbm", bbm_problem),
+                                               ("rosenau", rosenau_problem)])
+    def test_absent_keys_keep_the_owners_defaults(self, tmp_path, kind, problem):
+        cfg = load_run_config(minimal_config(tmp_path, kind))
+        assert cfg.problem == problem()
+        assert cfg.integrator == IntegratorConfig()
+        assert cfg == RunConfig(problem=problem(), domain_half_width=12.0,
+                                h=0.25, t_end=1.0)
+
+    @pytest.mark.parametrize("section, key", [
+        ("output", "dir"), ("equation", "c"), ("equation", "x0"),
+        ("equation", "p"), ("integrator", "rel_tol"), ("integrator", "abs_tol"),
+        ("integrator", "max_steps"), ("equation", "blow_up_threshold"),
+        ("time", "snapshots"), ("study", "h_list"), ("study", "n_list"),
+        ("decay", "rate")])
+    def test_blank_value_keeps_the_owners_default(self, tmp_path, section, key):
+        cfg = load_run_config(minimal_config(tmp_path, "bbm", (section, key)))
+        assert cfg.output_dir == "nlwave-out"
+        assert cfg.problem == bbm_problem()
+        assert cfg.integrator == IntegratorConfig()
+        assert cfg == load_run_config(minimal_config(tmp_path, "bbm"))
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("grid", "h", "missing a required argument: 'h'"),
+        ("time", "t_end", "missing a required argument: 't_end'"),
+        ("equation", "kind", "equation kind must be bbm, rosenau or custom")])
+    def test_blank_required_key_is_refused(self, tmp_path, section, key, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_run_config(minimal_config(tmp_path, "bbm", (section, key)))
 
 
 class TestConverge:
@@ -524,7 +578,24 @@ def docstring_example():
     return textwrap.dedent("\n".join(lines))
 
 
+def readme_config_section():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        return re.search(r"### Config format\n(.*?)\n## ", fh.read(), re.S).group(1)
+
+
 class TestDocumentedExamples:
+    def test_readme_names_every_key(self):
+        # the README says that any section or key it does not name is refused
+        text = readme_config_section()
+        tables = [*_KEYS.items(), *(("equation", t) for t in _EQUATION_KEYS.values())]
+        for section, table in tables:
+            assert f"[{section}]" in text
+            for key in table:
+                assert re.search(rf"\b{key}\b", text), key
+        for kind in _EQUATION_KEYS:
+            assert re.search(rf"\b{kind}\b", text), kind
+
+
     # unknown keys are refused, so an example that loads names only keys
     # the loader reads
     @pytest.mark.parametrize("example", [readme_example, docstring_example],
