@@ -126,6 +126,7 @@ def cmd_simulate(cfg: RunConfig):
         "rejected_steps": traj.rejected_steps,
         "rhs_calls": traj.rhs_calls,
         "fft_length": study.record.fft_length,
+        "convolution": study.record.convolution,
         "mass_initial": study.mass_initial,
         "mass_final": study.mass_final,
         "relative_mass_drift": study.relative_mass_drift,
@@ -211,6 +212,7 @@ def cmd_decay(cfg: RunConfig):
         "rejected_steps": traj.rejected_steps,
         "rhs_calls": traj.rhs_calls,
         "fft_length": study.record.fft_length,
+        "convolution": study.record.convolution,
     }
 
 

@@ -45,7 +45,9 @@ class DegenerateRateError(ValueError):
 class ErrorRecord:
     """One run's error sample plus cost metadata.
 
-    ``fft_length`` is the convolution's FFT cycle, ``None`` on the direct path.
+    ``convolution`` names the system's convolution path (``"direct"``,
+    ``"fft"`` or ``"tail"``); ``fft_length`` is its FFT cycle, ``None`` on
+    the other paths.
     """
 
     h: float
@@ -55,6 +57,7 @@ class ErrorRecord:
     accepted_steps: int
     wall_time: float
     fft_length: int | None = None
+    convolution: str = "direct"
 
     def __post_init__(self):
         if self.linf_error < 0:
@@ -186,6 +189,7 @@ def run_single(cfg: StudyConfig, grid: Grid):
         accepted_steps=traj.accepted_steps,
         wall_time=wall,
         fft_length=system.fft_length,
+        convolution=system.convolution,
     )
     return traj, record
 

@@ -5,8 +5,9 @@ third-order error estimates (P. J. Prince and J. R. Dormand, J. Comput. Appl.
 Math. 7 (1981) 67-75; E. Hairer, S. P. Norsett and G. Wanner, Solving
 Ordinary Differential Equations I, 2nd ed., Sec. II.10).  A step takes 11
 new right-hand sides for its stages; an accepted step takes one more, f at
-the new state, which is the next step's first stage, so a run makes 12 per
-accepted step, 11 per rejected one, plus f(y0) and the first-step probe.
+the new state, which is the next step's first stage, and the final step,
+which has no next step, skips it.  So a run makes 12 per accepted step and
+11 per rejected one, plus f(y0) and the first-step probe, minus the last.
 Both estimates are max-norms scaled by ``abs_tol + rel_tol * |state|_inf``
 and combine to ``err5^2 / sqrt(err5^2 + 0.01 err3^2)``; a step is accepted
 when that is at most 1 and rescaled with safety factor 0.9 and ratio clamp
@@ -226,11 +227,14 @@ def integrate(
                 accepted += 1
                 t = target if clipped else t + h_use
                 y, y_norm = y_new, y_new_norm
-                k[0] = f(y)  # E5 and E3 weigh it 0, so a rejected state skips it
                 if clipped:
                     times.append(t)
                     states.append(SampledSequence(system.grid, y))
                     ti += 1
+                    if ti == len(targets):
+                        break  # nothing reads f at the final state
+                k[0] = f(y)  # E5 and E3 weigh it 0, so a rejected state skips it
+                if clipped:
                     continue  # the clip carries no error information; keep h
             else:
                 rejected += 1

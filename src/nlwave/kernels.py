@@ -69,16 +69,24 @@ class Kernel:
     second_derivative_total_variation : float or None
         ``|nu|(R)`` for ``nu = beta''``; present exactly when the class is
         ORDER_TWO.
+    tail : (a, lambda) or None
+        Geometric tail ``beta(x) = Re(a e^{lambda x})`` for ``x > 0``, with
+        ``Re lambda < 0``; it lets ``build_system`` take the O(N) tail path.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative_total_variation: float
     smoothness_class: SmoothnessClass
     second_derivative_total_variation: float | None = None
+    tail: tuple[complex, complex] | None = None
 
     def __post_init__(self):
         if self.derivative_total_variation < 0:
             raise ValueError("derivative total variation must be nonnegative")
+        if self.tail is not None:
+            a, lam = self.tail
+            if not (np.isfinite(a) and np.isfinite(lam) and lam.real < 0):
+                raise ValueError("a tail needs finite a and lambda with Re lambda < 0")
         if self.smoothness_class is SmoothnessClass.ORDER_TWO:
             if self.second_derivative_total_variation is None:
                 raise ValueError(
@@ -106,13 +114,15 @@ def bbm_kernel() -> Kernel:
     Green's function of ``1 - d^2/dx^2``.  The metadata is analytic:
     ``beta' = -sign(x) beta`` so ``|mu|(R) = 1``;
     ``beta'' = beta - delta_0`` so ``|nu|(R) = 2`` (unit point mass at the
-    origin plus the density ``beta``).
+    origin plus the density ``beta``).  Tail ``(a, lambda) = (1/2, -1)``:
+    ``beta(x) = e^{-x} / 2`` for ``x > 0``.
     """
     return Kernel(
         evaluate=_bbm_evaluate,
         derivative_total_variation=1.0,
         smoothness_class=SmoothnessClass.ORDER_TWO,
         second_derivative_total_variation=2.0,
+        tail=(0.5, -1.0),
     )
 
 
@@ -122,12 +132,15 @@ def rosenau_kernel() -> Kernel:
     ``beta(x) = exp(-|x|/sqrt2) (cos(|x|/sqrt2) + sin(|x|/sqrt2)) / (2 sqrt2)``.
     The kernel changes sign but integrates to exactly 1.  Metadata constants
     come from the quadrature oracle documented at the top of this module.
+    Tail ``(a, lambda) = ((1 - i) / (2 sqrt2), (-1 + i) / sqrt2)``:
+    ``Re(a e^{lambda x})`` is ``beta(x)`` above for ``x > 0``.
     """
     return Kernel(
         evaluate=_rosenau_evaluate,
         derivative_total_variation=_ROSENAU_MU,
         smoothness_class=SmoothnessClass.ORDER_TWO,
         second_derivative_total_variation=_ROSENAU_NU,
+        tail=((1 - 1j) / (2.0 * _SQRT2), (-1 + 1j) / _SQRT2),
     )
 
 
@@ -175,7 +188,8 @@ def tabulated_kernel(
     (slopes plus endpoint jumps to zero).  Declaring
     ORDER_TWO requires both endpoint values to vanish, otherwise the
     zero-extension is not W^{1,1}; the second-derivative total variation is
-    then the exact sum of slope-change point masses.
+    then the exact sum of slope-change point masses.  A tabulated kernel
+    declares no tail, so large grids take the FFT path.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)

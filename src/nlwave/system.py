@@ -6,15 +6,21 @@ right-hand side is one discrete convolution of that stencil with ``f(v)``.
 No derivative of the state ever appears, which is why the time integration
 has no mesh-size stability restriction.
 
-This module is the one place that computes that convolution.  It has two
-paths that give the same values to rounding: a direct sum
-(``convolve_rhs_direct``) below half-width ``FAST_CONV_MIN_N``, and from it
-upward a product of real FFTs.  The FFT path uses the shortest 5-smooth
-cycle of at least ``4N+1`` points: the cyclic convolution then wraps only
-into entries outside the window ``2N..4N`` that the right-hand side reads.
-The cycle length and the stencil's transform are fixed when the system is
-built.  ``f`` is evaluated by Horner's rule.  The right-hand side checks
-only the state's length: blow-up is a property of the trajectory, so
+This module is the one place that computes that convolution, by one of
+three paths that agree to rounding.  Below half-width ``FAST_CONV_MIN_N``
+it is a direct sum (``convolve_rhs_direct``).  From it upward a kernel that
+declares a tail ``beta(x) = Re(a e^{lambda x})`` for x > 0, as both
+built-in kernels do, takes the tail path: its stencil is ``sign(k) Re(c
+w^|k|)``, so the sum is a prefix sum of ``w^-j f(v_j)`` from the left end
+and one of ``w^j f(v_j)`` from the right, each accumulating toward the node
+it serves (a total minus a prefix sum would cancel).  Tabulated kernels,
+and grids whose largest tail weight ``e^{2Nh|Re lambda|}`` would pass
+1e200, take a product of real FFTs over the shortest 5-smooth cycle of at
+least ``4N+1`` points: the cyclic convolution then wraps only into entries
+outside the window ``2N..4N`` that the right-hand side reads.  The tail
+weights, the cycle length and the stencil's transform are fixed when the
+system is built.  ``f`` is evaluated by Horner's rule.  The right-hand side
+checks only the state's length: blow-up is a property of the trajectory, so
 ``integrate`` owns that rule.
 """
 
@@ -115,11 +121,16 @@ class TruncatedSystem:
     """Grid, stencil and nonlinearity bundled for right-hand-side evaluation.
 
     ``stencil`` holds ``Dbeta_h`` over lags ``-2N..2N`` (length 4N+1) so that
-    every difference ``x_i - x_j`` of grid nodes is covered.  ``fast_mode``
-    selects the convolution path: ``"auto"`` uses the FFT path from
-    ``N >= FAST_CONV_MIN_N`` upward, ``"on"``/``"off"`` force it.
-    ``fft_length`` is the FFT path's cycle length, ``None`` on the direct
-    path.
+    every difference ``x_i - x_j`` of grid nodes is covered.  ``tail`` is the
+    sampled kernel's ``(a, lambda)`` or ``None``; it is refused unless its
+    ``w = e^{lambda h}`` and ``c = a (w - 1/w) / 2h`` give every stencil
+    entry as ``sign(k) Re(c w^|k|)`` to ``1e-12 |c|`` plus the rounding of
+    the sampled differences, ``4 eps |a| / h``.  ``fast_mode`` selects the
+    convolution path: ``"auto"`` uses the tail path, else the FFT path, from
+    ``N >= FAST_CONV_MIN_N`` upward; ``"on"``/``"off"`` force the FFT/direct
+    path.  ``convolution`` names the path that runs (``"direct"``, ``"fft"``
+    or ``"tail"``); ``fft_length`` is the FFT path's cycle length, ``None``
+    on the others.
     """
 
     grid: Grid
@@ -127,12 +138,15 @@ class TruncatedSystem:
     nonlinearity: Nonlinearity
     blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD
     fast_mode: str = "auto"
+    tail: tuple[complex, complex] | None = None
+    convolution: str = field(init=False)
     fft_length: int | None = field(init=False)
     _stencil_fft: np.ndarray | None = field(init=False, repr=False)
+    _tail_weights: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         stencil = np.array(self.stencil, dtype=float, copy=True)
-        n = self.grid.n_half
+        n, h = self.grid.n_half, self.grid.h
         if stencil.shape != (4 * n + 1,):
             raise ValueError(f"stencil must cover lags -2N..2N, need {4*n+1} entries")
         if not np.all(np.isfinite(stencil)):
@@ -141,13 +155,32 @@ class TruncatedSystem:
             raise ValueError("blow-up threshold must be positive")
         if self.fast_mode not in ("auto", "on", "off"):
             raise ValueError("fast_mode must be 'auto', 'on' or 'off'")
-        fast = self.fast_mode == "on" or (
-            self.fast_mode == "auto" and n >= FAST_CONV_MIN_N)
-        nfft = _fft_length(n) if fast else None
+        auto = self.fast_mode == "auto" and n >= FAST_CONV_MIN_N
+        path = "fft" if auto or self.fast_mode == "on" else "direct"
+        if self.tail is not None:
+            a, lam = self.tail
+            c = a * np.sinh(lam * h) / h  # a (w - 1/w) / 2h without cancelling
+            powers = np.exp(lam * h) ** np.arange(2 * n + 1)  # w^j, j = 0..2N
+            model = np.real(c * powers[1:])  # stencil_k for k = 1..2N
+            gap = np.concatenate((-model[::-1], [0.0], model)) - stencil
+            # the sampled differences themselves round by about eps |a| / h
+            tol = 1e-12 * abs(c) + 4.0 * np.finfo(float).eps * abs(a) / h
+            if not np.max(np.abs(gap)) <= tol:
+                raise ValueError("the declared tail does not reproduce the stencil")
+            # The prefix sums reach (2N+1) max|f(v)| times the largest weight
+            # e^{2Nh|Re lambda|}; a cap of 1e200 leaves 1e108 of headroom for
+            # |f(v)| past the blow-up threshold before they overflow.
+            if auto and abs(powers[-1]) > 1e-200:
+                path = "tail"
+                inverse = 1.0 / powers
+                object.__setattr__(self, "_tail_weights", (
+                    np.stack((inverse, powers)), -h * c * np.stack((powers, inverse))))
+        nfft = _fft_length(n) if path == "fft" else None
         object.__setattr__(self, "stencil", stencil)
+        object.__setattr__(self, "convolution", path)
         object.__setattr__(self, "fft_length", nfft)
         object.__setattr__(self, "_stencil_fft",
-                           np.fft.rfft(stencil, nfft) if fast else None)
+                           np.fft.rfft(stencil, nfft) if nfft else None)
 
     @property
     def use_fast(self) -> bool:
@@ -162,6 +195,15 @@ class TruncatedSystem:
         if v.shape != (self.grid.node_count,):
             raise ValueError(f"state shape {v.shape} does not match the grid")
         g = self.nonlinearity.evaluate_values(v)
+        if self._tail_weights is not None:
+            # row 0 sums w^-j g_j from the left, row 1 w^j g_j from the right;
+            # rescaled, they are -h c (L_i + g_i) and -h c (R_i + g_i)
+            w_in, w_out = self._tail_weights
+            sums = g * w_in
+            np.add.accumulate(sums[0], out=sums[0])
+            np.add.accumulate(sums[1, ::-1], out=sums[1, ::-1])
+            sums *= w_out
+            return sums[0].real - sums[1].real
         nfft = self.fft_length
         if nfft is None:
             return convolve_rhs_direct(self.stencil, g, self.grid.h)
@@ -209,7 +251,8 @@ def build_system(
     ``stencil_k = (beta((k+1)h) - beta((k-1)h)) / 2h`` for lags ``-2N..2N``.
     The mesh-weighted stencil norm can never exceed the total variation of
     ``beta'``; that bound is asserted here (1e-10 slack) as a consistency
-    check on the kernel metadata.
+    check on the kernel metadata.  The kernel's tail goes to the system,
+    which checks it against the stencil.
     """
     h, n = grid.h, grid.n_half
     lags = np.arange(-2 * n, 2 * n + 1)
@@ -224,6 +267,7 @@ def build_system(
         nonlinearity=nonlinearity,
         blow_up_threshold=blow_up_threshold,
         fast_mode=fast_mode,
+        tail=kernel.tail,
     )
     bound = kernel.derivative_total_variation + 1e-10
     if system.stencil_l1() > bound:

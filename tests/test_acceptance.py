@@ -267,41 +267,45 @@ def test_criterion_05_quadrature_orders():
 
 
 def test_criterion_06_convolution_path_equivalence():
+    # fast_mode "on" forces the FFT path and "off" the direct one; "auto"
+    # takes the tail path on these kernels from FAST_CONV_MIN_N upward
     rng = np.random.default_rng(20240506)
     worst = 0.0
-    for n in (32, 64, 256):
+    auto_paths = set()
+    cases = [(bbm_kernel(), Nonlinearity.bbm(1), n) for n in (32, 64, 256, 400)]
+    cases += [(rosenau_kernel(), Nonlinearity.rosenau(), n) for n in (256, 400)]
+    for kernel, f, n in cases:
         grid = Grid(h=0.1, n_half=n)
-        fast = build_system(bbm_kernel(), grid, Nonlinearity.bbm(1),
-                            fast_mode="on")
-        direct = build_system(bbm_kernel(), grid, Nonlinearity.bbm(1),
-                              fast_mode="off")
+        auto, fast, direct = (build_system(kernel, grid, f, fast_mode=mode)
+                              for mode in ("auto", "on", "off"))
+        auto_paths.add((n, auto.convolution))
         for _ in range(100):
             v = rng.uniform(-1.0, 1.0, grid.node_count)
-            diff = np.max(np.abs(fast.rhs_values(v) - direct.rhs_values(v)))
-            worst = max(worst, float(diff))
-    ok = worst < 1e-12
+            ref = direct.rhs_values(v)
+            for system in (auto, fast):
+                diff = np.max(np.abs(system.rhs_values(v) - ref))
+                worst = max(worst, float(diff))
+    ok = worst < 1e-12 and auto_paths == {
+        (32, "direct"), (64, "direct"), (256, "tail"), (400, "tail")}
 
     # timing record at N = 1024 (no hard threshold)
     grid = Grid(h=0.1, n_half=1024)
-    fast = build_system(bbm_kernel(), grid, Nonlinearity.bbm(1), fast_mode="on")
-    direct = build_system(bbm_kernel(), grid, Nonlinearity.bbm(1),
-                          fast_mode="off")
+    systems = {mode: build_system(bbm_kernel(), grid, Nonlinearity.bbm(1),
+                                  fast_mode=mode) for mode in ("auto", "on", "off")}
     v = rng.uniform(-1.0, 1.0, grid.node_count)
-    fast.rhs_values(v)
-    direct.rhs_values(v)  # warm both paths
+    times = {}
     reps = 10
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        fast.rhs_values(v)
-    t_fast = (time.perf_counter() - t0) / reps
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        direct.rhs_values(v)
-    t_direct = (time.perf_counter() - t0) / reps
+    for mode, system in systems.items():
+        system.rhs_values(v)  # warm the path
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            system.rhs_values(v)
+        times[mode] = (time.perf_counter() - t0) / reps
 
-    announce(6, ok, f"worst path gap {worst:.2e} (< 1e-12); N=1024 timing: "
-                    f"fast {t_fast * 1e3:.3f} ms vs direct "
-                    f"{t_direct * 1e3:.3f} ms")
+    timing = ", ".join(f"{system.convolution} {times[mode] * 1e3:.3f} ms"
+                       for mode, system in systems.items())
+    announce(6, ok, f"worst path gap {worst:.2e} (< 1e-12); "
+                    f"N=1024 timing: {timing}")
     assert ok
 
 

@@ -119,8 +119,9 @@ class TestSimulate:
         assert summary["linf_error"] > 0.0
         assert summary["snapshot_times"] == [0.0, 0.5, 1.0]
         assert summary["rhs_calls"] == (12 * summary["accepted_steps"]
-                                        + 11 * summary["rejected_steps"] + 2)
+                                        + 11 * summary["rejected_steps"] + 1)
         assert summary["fft_length"] is None  # N = 48 takes the direct path
+        assert summary["convolution"] == "direct"
         assert set(summary) >= {  # later keys may join, none may leave
             "command", "equation", "domain_half_width", "h", "t_end",
             "rel_tol", "abs_tol", "profiles", "snapshot_times", "linf_error",
@@ -130,12 +131,22 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "decay"])
     def test_summary_reports_the_fft_cycle(self, tmp_path, command):
-        # N = FAST_CONV_MIN_N is the smallest grid on the FFT path
-        cfg, outdir = write_config(tmp_path, t_end=0.1,
-                                   half=0.05 * FAST_CONV_MIN_N, h=0.05)
+        # N = FAST_CONV_MIN_N is the smallest grid on the FFT and tail paths:
+        # a tabulated kernel takes the FFT path there, bbm its tail path
+        grid = dict(t_end=0.1, half=0.05 * FAST_CONV_MIN_N, h=0.05)
+        cfg, outdir = write_config(tmp_path, name="custom.ini",
+                                   outdir=str(tmp_path / "custom"),
+                                   equation=CUSTOM_EQUATION,
+                                   kernel=TRIANGLE_KERNEL, **grid)
         assert main([command, "--config", cfg]) == 0
         summary = read_json(os.path.join(outdir, "summary.json"))
         assert summary["fft_length"] == _fft_length(FAST_CONV_MIN_N)
+        assert summary["convolution"] == "fft"
+        cfg, outdir = write_config(tmp_path, **grid)
+        assert main([command, "--config", cfg]) == 0
+        summary = read_json(os.path.join(outdir, "summary.json"))
+        assert summary["fft_length"] is None
+        assert summary["convolution"] == "tail"
 
     def test_zero_horizon_single_profile_zero_error(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=0.0)
@@ -442,8 +453,9 @@ class TestDecay:
         assert summary["holds_where_exact_has_headroom"] is True
         assert summary["accepted_steps"] > 0
         assert summary["rhs_calls"] == (12 * summary["accepted_steps"]
-                                        + 11 * summary["rejected_steps"] + 2)
+                                        + 11 * summary["rejected_steps"] + 1)
         assert summary["fft_length"] is None  # N = 48 takes the direct path
+        assert summary["convolution"] == "direct"
 
     def test_zero_initial_data_custom(self, tmp_path):
         kfile = tmp_path / "kernel.txt"

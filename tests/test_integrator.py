@@ -314,13 +314,14 @@ class TestStepControl:
 
 class TestRhsCount:
     def test_twelve_per_accepted_step_eleven_per_rejection(self):
-        # on u' = -50 u the controller overshoots and rejects steps; the +2
-        # are f(y0) and the first-step heuristic's probe
+        # on u' = -50 u the controller overshoots and rejects steps; the +1
+        # is f(y0) and the first-step heuristic's probe, less f at the final
+        # state, which nothing reads
         system = decay_stub(rate=50.0)
         traj = integrate(system, SampledSequence(system.grid, np.ones(3)), 1.0)
         assert traj.rejected_steps > 0
         assert traj.rhs_calls == (
-            12 * traj.accepted_steps + 11 * traj.rejected_steps + 2)
+            12 * traj.accepted_steps + 11 * traj.rejected_steps + 1)
 
     def test_zero_horizon_evaluates_nothing(self):
         system = decay_stub()

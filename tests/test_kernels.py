@@ -1,5 +1,6 @@
 """Kernel evaluation and derivative-measure metadata."""
 
+import dataclasses
 import math
 import warnings
 
@@ -105,6 +106,26 @@ class TestRosenauKernel:
         assert k.derivative_total_variation == pytest.approx(
             SQRT2 / 2 / math.tanh(math.pi / 2), abs=1e-12
         )
+
+
+class TestTail:
+    @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()])
+    def test_declared_tail_is_the_kernel_for_positive_x(self, kernel):
+        a, lam = kernel.tail
+        x = np.linspace(0.0, 30.0, 301)
+        np.testing.assert_allclose(kernel.evaluate(x), np.real(a * np.exp(lam * x)),
+                                   rtol=1e-14, atol=1e-17)
+
+    def test_tabulated_kernels_declare_none(self):
+        assert tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]).tail is None
+
+    @pytest.mark.parametrize("tail", [(0.5, 0.0), (0.5, 1.0), (0.5, 2j),
+                                      (math.nan, -1.0), (math.inf, -1.0),
+                                      (0.5, complex(-math.inf, 1.0)),
+                                      (0.5, complex(-1.0, math.nan))])
+    def test_refuses_a_tail_that_does_not_decay_or_is_not_finite(self, tail):
+        with pytest.raises(ValueError, match="tail"):
+            dataclasses.replace(bbm_kernel(), tail=tail)
 
 
 class TestTabulatedKernel:

@@ -1,5 +1,6 @@
 """Truncated-system assembly, right-hand side and conserved-mass diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from nlwave import (
     discrete_mass,
     initial_data,
     rosenau_kernel,
+    tabulated_kernel,
 )
 from nlwave.system import FAST_CONV_MIN_N, _fft_length, convolve_rhs_direct
 
@@ -127,11 +129,28 @@ class TestBuildSystem:
             assert system.stencil.size == n4 + 1 == 4 * 50 + 1
 
     def test_declared_tv_too_small_is_rejected(self):
-        import dataclasses
-
         bad = dataclasses.replace(bbm_kernel(), derivative_total_variation=0.1)
         with pytest.raises(ValueError):
             build_system(bad, Grid(h=0.25, n_half=40), Nonlinearity.bbm(1))
+
+    @pytest.mark.parametrize("tail", [(0.5, -1.1), (0.55, -1.0),
+                                      (0.5, (-1 + 1j) / math.sqrt(2))])
+    def test_tail_that_disagrees_with_the_samples_is_refused(self, tail):
+        # refused on the direct path too, where the tail would not run
+        bad = dataclasses.replace(bbm_kernel(), tail=tail)
+        with pytest.raises(ValueError, match="tail"):
+            build_system(bad, Grid(h=0.25, n_half=40), Nonlinearity.bbm(1))
+
+    def test_fine_grid_keeps_its_tail(self):
+        # at h = 1e-4 the sampled differences of the rosenau kernel round by
+        # more than 1e-12 |c|, so the check allows for that rounding
+        g = Grid(h=1e-4, n_half=FAST_CONV_MIN_N)
+        v = np.random.default_rng(4).uniform(-1.0, 1.0, g.node_count)
+        for kernel in (bbm_kernel(), rosenau_kernel()):
+            tail, direct = (build_system(kernel, g, Nonlinearity.bbm(1),
+                                         fast_mode=mode) for mode in ("auto", "off"))
+            assert tail.convolution == "tail"
+            assert np.max(np.abs(tail.rhs_values(v) - direct.rhs_values(v))) < 1e-12
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -178,12 +197,33 @@ class TestRhs:
         assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_fast_mode_auto_threshold(self):
-        small, large = (build_system(bbm_kernel(), Grid(h=0.5, n_half=n),
-                                     Nonlinearity.bbm(1))
-                        for n in (FAST_CONV_MIN_N - 1, FAST_CONV_MIN_N))
-        assert not small.use_fast and small.fft_length is None
-        assert large.use_fast
-        assert large.fft_length == _fft_length(FAST_CONV_MIN_N)
+        # a tabulated kernel switches to the FFT path, the kernels that
+        # declare a tail to the tail path
+        triangle = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        for kernel, path in ((triangle, "fft"), (bbm_kernel(), "tail"),
+                             (rosenau_kernel(), "tail")):
+            small, large = (build_system(kernel, Grid(h=0.5, n_half=n),
+                                         Nonlinearity.bbm(1))
+                            for n in (FAST_CONV_MIN_N - 1, FAST_CONV_MIN_N))
+            assert small.convolution == "direct"
+            assert not small.use_fast and small.fft_length is None
+            assert large.convolution == path
+            assert large.use_fast == (path == "fft")
+            assert large.fft_length == (
+                _fft_length(FAST_CONV_MIN_N) if path == "fft" else None)
+
+    def test_grid_past_the_tail_cap_falls_back_to_fft(self):
+        # the largest tail weight e^{2Nh} is e^{450} at h = 0.9, under the
+        # 1e200 cap, and e^{500} at h = 1, past it
+        n = FAST_CONV_MIN_N
+        rng = np.random.default_rng(8)
+        for h, path in ((0.9, "tail"), (1.0, "fft")):
+            g = Grid(h=h, n_half=n)
+            auto, direct = (build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
+                                         fast_mode=mode) for mode in ("auto", "off"))
+            assert auto.convolution == path
+            v = rng.uniform(-1.0, 1.0, g.node_count)
+            assert np.max(np.abs(auto.rhs_values(v) - direct.rhs_values(v))) < 1e-12
 
     def test_fft_cycle_is_shortest_alias_free_5_smooth(self):
         # 4N+1 is itself 5-smooth at the tight cases N = 1, 2, 6, 11, 20, 31,
