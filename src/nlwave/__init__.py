@@ -23,7 +23,6 @@ from .discrete import Grid, SampledSequence, restrict
 from .experiments import (
     DegenerateRateError,
     ErrorRecord,
-    RateEstimate,
     StudyConfig,
     convergence_rate,
     fit_observed_order,
@@ -36,7 +35,6 @@ from .experiments import (
 from .integrator import IntegratorConfig, StepFailureError, Trajectory, integrate
 from .kernels import (
     Kernel,
-    SmoothnessClass,
     bbm_kernel,
     kernel_from_file,
     rosenau_kernel,
@@ -61,7 +59,6 @@ __all__ = [
     "__version__",
     # kernels
     "Kernel",
-    "SmoothnessClass",
     "bbm_kernel",
     "rosenau_kernel",
     "tabulated_kernel",
@@ -98,7 +95,6 @@ __all__ = [
     "custom_problem",
     "StudyConfig",
     "ErrorRecord",
-    "RateEstimate",
     "DegenerateRateError",
     "linf_error",
     "convergence_rate",

@@ -145,7 +145,7 @@ def cmd_converge(cfg: RunConfig):
                 record.h,
                 record.n_half,
                 record.linf_error,
-                "" if rate is None else _fmt(rate.rho),
+                "" if rate is None else rate,
                 record.accepted_steps,
                 record.wall_time,
             )
@@ -155,7 +155,7 @@ def cmd_converge(cfg: RunConfig):
     return {"convergence.csv": (header, rows)}, {
         "h_list": list(cfg.h_list),
         "errors": [rec.linf_error for rec, _ in entries],
-        "rates": [None if rate is None else rate.rho for _, rate in entries],
+        "rates": [rate for _, rate in entries],
     }
 
 

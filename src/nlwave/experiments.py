@@ -22,7 +22,6 @@ from .system import DEFAULT_BLOW_UP_THRESHOLD, build_system, discrete_mass
 __all__ = [
     "DegenerateRateError",
     "ErrorRecord",
-    "RateEstimate",
     "StudyConfig",
     "ProfileStudy",
     "TruncationRecord",
@@ -64,28 +63,20 @@ class ErrorRecord:
             raise ValueError("linf_error must be nonnegative")
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """Observed order between two mesh sizes: rho = log(E1/E2) / log(h1/h2)."""
-
-    h_pair: tuple[float, float]
-    rho: float
-
-
 def linf_error(numeric: SampledSequence, wave, t: float) -> float:
     """Sup-norm gap between the numeric state and the exact wave at time t."""
     exact = evaluate_solitary(wave, numeric.grid.nodes, t)
     return float(np.max(np.abs(exact - numeric.values)))
 
 
-def convergence_rate(e1: ErrorRecord, e2: ErrorRecord) -> RateEstimate:
-    """Fit the observed order from two error records at distinct h."""
+def convergence_rate(e1: ErrorRecord, e2: ErrorRecord) -> float:
+    """Observed order between two error records at distinct h:
+    rho = log(E1/E2) / log(h1/h2)."""
     if e1.h == e2.h:
         raise ValueError("rate needs two distinct mesh sizes")
     if e1.linf_error == 0.0 or e2.linf_error == 0.0:
         raise DegenerateRateError("zero error: the observed order is undefined")
-    rho = math.log(e1.linf_error / e2.linf_error) / math.log(e1.h / e2.h)
-    return RateEstimate(h_pair=(e1.h, e2.h), rho=rho)
+    return math.log(e1.linf_error / e2.linf_error) / math.log(e1.h / e2.h)
 
 
 def fit_observed_order(hs, errors, noise_floor: float = 0.0) -> float:
@@ -221,9 +212,7 @@ def run_profile_study(cfg: StudyConfig) -> ProfileStudy:
     )
 
 
-def run_h_refinement(
-    cfg: StudyConfig, h_values
-) -> list[tuple[ErrorRecord, RateEstimate | None]]:
+def run_h_refinement(cfg: StudyConfig, h_values) -> list[tuple[ErrorRecord, float | None]]:
     """Fixed-domain error sweep over decreasing mesh sizes.
 
     Each h must divide the domain half-width evenly.  For problems without
@@ -250,7 +239,7 @@ def run_h_refinement(
             fixed.append(dataclasses.replace(rec, linf_error=err))
         records = fixed
 
-    out: list[tuple[ErrorRecord, RateEstimate | None]] = []
+    out: list[tuple[ErrorRecord, float | None]] = []
     prev = None
     for rec in records:
         rate = convergence_rate(prev, rec) if prev is not None else None

@@ -1,20 +1,13 @@
-"""Convolution kernels: point evaluation plus derivative-measure metadata.
+"""Convolution kernels: point evaluation plus the derivative total variation.
 
-A kernel carries the total variation of its first derivative (and of the
-second derivative when that is a finite measure) and a declared smoothness
-class.  The first-derivative total variation bounds the stencil norm that
-``build_system`` checks.  The smoothness class names the convergence order
-the paper proves for the kernel (linear or quadratic); it is declared by
-the constructor, never inferred from samples, and no study reads it yet.
+A kernel carries the total variation of its first derivative, which bounds
+the stencil norm that ``build_system`` checks.
 
-Point values follow the right-continuous convention ``beta(x) = mu((-inf, x])``
-at jumps of ``beta``.  Both built-in kernels are continuous, so for them the
-convention is vacuous; tabulated kernels are piecewise linear on their
-support (hence continuous there) and the tabulated endpoint value is taken
-on the closed support interval.
+Value at a jump: both built-in kernels are continuous, so they have none.
+A tabulated kernel takes its table values on the closed support interval
+and 0 strictly outside it.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "SmoothnessClass",
     "Kernel",
     "bbm_kernel",
     "rosenau_kernel",
@@ -37,26 +29,12 @@ _SQRT2 = math.sqrt(2.0)
 # in the test suite against SciPy's integrate.quad and the closed form
 # |mu| = sqrt(2)/2 * coth(pi/2)):
 #   mu   = total variation of beta'    (beta' is absolutely continuous)
-#   nu   = total variation of beta''   (beta'' is absolutely continuous)
 _ROSENAU_MU = 0.7709807342660168
-_ROSENAU_NU = 0.6739164544697352
-
-
-class SmoothnessClass(enum.Enum):
-    """Expected discretization-error order for a kernel.
-
-    ORDER_TWO marks kernels in W^{1,1} whose second derivative is a finite
-    measure (quadratic order); ORDER_ONE marks kernels that only have a
-    finite first-derivative measure (linear order).
-    """
-
-    ORDER_ONE = 1
-    ORDER_TWO = 2
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """A convolution kernel with derivative-measure metadata.
+    """A convolution kernel with its derivative total variation.
 
     Attributes
     ----------
@@ -64,11 +42,6 @@ class Kernel:
         Vectorized point evaluation ``x -> beta(x)``.
     derivative_total_variation : float
         Total variation ``|mu|(R)`` of the measure ``mu = beta'``.
-    smoothness_class : SmoothnessClass
-        Declared error-order class.
-    second_derivative_total_variation : float or None
-        ``|nu|(R)`` for ``nu = beta''``; present exactly when the class is
-        ORDER_TWO.
     tail : (a, lambda) or None
         Geometric tail ``beta(x) = Re(a e^{lambda x})`` for ``x > 0``, with
         ``Re lambda < 0``; it lets ``build_system`` take the O(N) tail path.
@@ -76,27 +49,17 @@ class Kernel:
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative_total_variation: float
-    smoothness_class: SmoothnessClass
-    second_derivative_total_variation: float | None = None
     tail: tuple[complex, complex] | None = None
 
     def __post_init__(self):
-        if self.derivative_total_variation < 0:
+        # Written so that NaN fails too; inf is allowed and turns off
+        # build_system's stencil-norm check.
+        if not self.derivative_total_variation >= 0:
             raise ValueError("derivative total variation must be nonnegative")
         if self.tail is not None:
             a, lam = self.tail
             if not (np.isfinite(a) and np.isfinite(lam) and lam.real < 0):
                 raise ValueError("a tail needs finite a and lambda with Re lambda < 0")
-        if self.smoothness_class is SmoothnessClass.ORDER_TWO:
-            if self.second_derivative_total_variation is None:
-                raise ValueError(
-                    "ORDER_TWO kernels must carry the second-derivative "
-                    "total variation"
-                )
-            if self.second_derivative_total_variation < 0:
-                raise ValueError(
-                    "second-derivative total variation must be nonnegative"
-                )
 
 
 def _bbm_evaluate(x):
@@ -112,16 +75,12 @@ def bbm_kernel() -> Kernel:
     """Exponential kernel ``beta(x) = exp(-|x|) / 2``.
 
     Green's function of ``1 - d^2/dx^2``.  The metadata is analytic:
-    ``beta' = -sign(x) beta`` so ``|mu|(R) = 1``;
-    ``beta'' = beta - delta_0`` so ``|nu|(R) = 2`` (unit point mass at the
-    origin plus the density ``beta``).  Tail ``(a, lambda) = (1/2, -1)``:
-    ``beta(x) = e^{-x} / 2`` for ``x > 0``.
+    ``beta' = -sign(x) beta`` so ``|mu|(R) = 1``.
+    Tail ``(a, lambda) = (1/2, -1)``: ``beta(x) = e^{-x} / 2`` for ``x > 0``.
     """
     return Kernel(
         evaluate=_bbm_evaluate,
         derivative_total_variation=1.0,
-        smoothness_class=SmoothnessClass.ORDER_TWO,
-        second_derivative_total_variation=2.0,
         tail=(0.5, -1.0),
     )
 
@@ -130,16 +89,14 @@ def rosenau_kernel() -> Kernel:
     """Oscillatory-exponential kernel of ``1 + d^4/dx^4``.
 
     ``beta(x) = exp(-|x|/sqrt2) (cos(|x|/sqrt2) + sin(|x|/sqrt2)) / (2 sqrt2)``.
-    The kernel changes sign but integrates to exactly 1.  Metadata constants
-    come from the quadrature oracle documented at the top of this module.
+    The kernel changes sign but integrates to exactly 1.  ``_ROSENAU_MU``
+    comes from the quadrature oracle documented at the top of this module.
     Tail ``(a, lambda) = ((1 - i) / (2 sqrt2), (-1 + i) / sqrt2)``:
     ``Re(a e^{lambda x})`` is ``beta(x)`` above for ``x > 0``.
     """
     return Kernel(
         evaluate=_rosenau_evaluate,
         derivative_total_variation=_ROSENAU_MU,
-        smoothness_class=SmoothnessClass.ORDER_TWO,
-        second_derivative_total_variation=_ROSENAU_NU,
         tail=((1 - 1j) / (2.0 * _SQRT2), (-1 + 1j) / _SQRT2),
     )
 
@@ -168,28 +125,13 @@ def _piecewise_linear_tv(values):
     return abs(values[0]) + float(np.sum(np.abs(np.diff(values)))) + abs(values[-1])
 
 
-def _piecewise_linear_second_tv(nodes, values):
-    # The zero-extended interpolant has beta' piecewise constant, so beta''
-    # is a sum of point masses: slope changes at interior nodes plus the
-    # slope jumps from/to zero at the support endpoints.
-    slopes = np.diff(values) / np.diff(nodes)
-    return abs(slopes[0]) + float(np.sum(np.abs(np.diff(slopes)))) + abs(slopes[-1])
-
-
-def tabulated_kernel(
-    nodes,
-    values,
-    smoothness_class: SmoothnessClass = SmoothnessClass.ORDER_ONE,
-) -> Kernel:
+def tabulated_kernel(nodes, values) -> Kernel:
     """Kernel defined by linear interpolation of ``(nodes, values)`` samples.
 
     Evaluates to zero outside ``[nodes[0], nodes[-1]]``.  The
     first-derivative total variation is computed exactly from the table
-    (slopes plus endpoint jumps to zero).  Declaring
-    ORDER_TWO requires both endpoint values to vanish, otherwise the
-    zero-extension is not W^{1,1}; the second-derivative total variation is
-    then the exact sum of slope-change point masses.  A tabulated kernel
-    declares no tail, so large grids take the FFT path.
+    (slopes plus endpoint jumps to zero).  A tabulated kernel declares no
+    tail, so large grids take the FFT path.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -201,18 +143,9 @@ def tabulated_kernel(
         raise ValueError("tabulation nodes must be strictly increasing")
     if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(values)):
         raise ValueError("tabulation data must be finite")
-    second_tv = None
-    if smoothness_class is SmoothnessClass.ORDER_TWO:
-        if values[0] != 0.0 or values[-1] != 0.0:
-            raise ValueError(
-                "ORDER_TWO tabulated kernels must vanish at the support ends"
-            )
-        second_tv = _piecewise_linear_second_tv(nodes, values)
     return Kernel(
         evaluate=_TabulatedEvaluate(nodes.copy(), values.copy()),
         derivative_total_variation=float(_piecewise_linear_tv(values)),
-        smoothness_class=smoothness_class,
-        second_derivative_total_variation=second_tv,
     )
 
 

@@ -49,6 +49,8 @@ DEFAULT_BLOW_UP_THRESHOLD = 1e6
 # Below this half-width the direct path beats the FFT path.  Timed per call
 # with numpy 2.4 on a 2-core Xeon, the two tie within noise at N = 220..260;
 # whole runs favour the direct path at N = 240 and the FFT path at N = 260.
+# It gates the tail path too, although that path alone ties the direct one
+# per call near N = 90..120 (bbm and rosenau, timed at N = 16..240).
 # fast_mode "on"/"off" force either one for cross-checking.
 FAST_CONV_MIN_N = 250
 

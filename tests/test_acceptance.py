@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 from scipy.linalg import expm
+from scipy.special import jv
 
 from nlwave import (
     Grid,
@@ -38,6 +39,7 @@ from nlwave import (
     build_system,
     calibrate_envelope,
     check_decay,
+    custom_problem,
     evaluate_solitary,
     fit_observed_order,
     integrate,
@@ -47,8 +49,11 @@ from nlwave import (
     run_h_refinement,
     run_profile_study,
     run_truncation_study,
+    tabulated_kernel,
 )
+from nlwave.experiments import run_single
 from nlwave.problems import bbm_problem, rosenau_problem
+from nlwave.system import FAST_CONV_MIN_N
 
 RATE_WINDOW = (1.8, 2.2)
 SQRT2 = math.sqrt(2.0)
@@ -181,7 +186,55 @@ def test_supplement_rosenau_resolved_range_rates(rosenau_runs):
     entries = run_h_refinement(rosenau_config(0.2), hs)
     assert [rec.linf_error for rec, _ in entries] == [
         rosenau_runs[h].record.linf_error for h in hs]
-    assert [rate.rho for _, rate in entries[1:]] == rates_from_runs(rosenau_runs, hs)
+    assert [rate for _, rate in entries[1:]] == rates_from_runs(rosenau_runs, hs)
+
+
+def top_hat_errors(a, hs, t_end=4.0, half=30.0):
+    """Sup-norm errors of the linear top-hat equation against its exact
+    solution, plus the records of the runs.
+
+    With beta = 1 on [-a, a] and f(u) = u the equation reads
+    ``u_t = -(u(x + a) - u(x - a))``; by Jacobi-Anger its solution is
+    ``sum_n J_n(2t) u0(x - n a)``, truncated here at |n| <= 60.
+    """
+    def u0(x):
+        return np.exp(-np.asarray(x) ** 2)
+
+    problem = custom_problem(tabulated_kernel([-a, a], [1.0, 1.0]),
+                             Nonlinearity(((1, 1.0),)), u0)
+    tol = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
+    errors, records = [], []
+    for h in hs:
+        cfg = StudyConfig(problem=problem, domain_half_width=half, h=h,
+                          t_end=t_end, integrator=tol)
+        traj, record = run_single(cfg, cfg.grid())
+        x = traj.final.grid.nodes
+        exact = sum(jv(n, 2.0 * t_end) * u0(x - n * a) for n in range(-60, 61))
+        errors.append(float(np.max(np.abs(traj.final.values - exact))))
+        records.append(record)
+    return errors, records
+
+
+def test_supplement_top_hat_first_order_oracle():
+    # The paper's linear branch: a top-hat kernel has a jump, so its second
+    # derivative is no finite measure.  A tabulated kernel takes its table
+    # value at the jump.  On a node that gives first order; off the nodes
+    # the error stays O(h) but its rate swings, so only err/h is bounded.
+    hs = (0.2, 0.1, 0.05, 0.025, 0.0125)
+    on_errs, on_records = top_hat_errors(1.0, hs)
+    on_rates = [math.log(e1 / e2) / math.log(2.0)  # each h halves the last
+                for e1, e2 in zip(on_errs, on_errs[1:])]
+    off_errs, off_records = top_hat_errors(0.93, hs)
+    off_ratio = max(e / h for h, e in zip(hs, off_errs))
+    ok = all(0.9 <= r <= 1.1 for r in on_rates) and off_ratio <= 1.0
+    announce("2t", ok, f"top hat on-node rates {[f'{r:.3f}' for r in on_rates]} "
+                       f"in [0.9, 1.1]; off-node max err/h {off_ratio:.3f} "
+                       f"(<= 1.0)")
+    assert all(0.9 <= r <= 1.1 for r in on_rates), on_rates
+    assert off_ratio <= 1.0, [e / h for h, e in zip(hs, off_errs)]
+    # from FAST_CONV_MIN_N upward a tabulated kernel takes the FFT path
+    assert all(r.convolution == "fft" for r in on_records + off_records
+               if r.n_half >= FAST_CONV_MIN_N)
 
 
 def test_criterion_03_truncation_plateau(truncation_sweep):

@@ -12,7 +12,6 @@ from nlwave import (
     Kernel,
     Nonlinearity,
     SampledSequence,
-    SmoothnessClass,
     TruncatedSystem,
     bbm_kernel,
     build_system,
@@ -37,8 +36,7 @@ def convolve(w, v, h, fast_mode="auto"):
 def central_differences(function, grid):
     """``(function((k+1)h) - function((k-1)h)) / 2h`` for lags ``-2N..2N``,
     the stencil ``build_system`` samples from a kernel."""
-    kernel = Kernel(evaluate=function, derivative_total_variation=math.inf,
-                    smoothness_class=SmoothnessClass.ORDER_ONE)
+    kernel = Kernel(evaluate=function, derivative_total_variation=math.inf)
     return build_system(kernel, grid, Nonlinearity(((1, 1.0),))).stencil
 
 

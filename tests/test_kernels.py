@@ -1,4 +1,4 @@
-"""Kernel evaluation and derivative-measure metadata."""
+"""Kernel evaluation and the derivative total variation."""
 
 import dataclasses
 import math
@@ -10,7 +10,8 @@ from scipy.integrate import quad
 
 from nlwave import (
     Grid,
-    SmoothnessClass,
+    Nonlinearity,
+    build_system,
     bbm_kernel,
     kernel_from_file,
     restrict,
@@ -39,8 +40,6 @@ class TestBBMKernel:
     def test_metadata(self):
         k = bbm_kernel()
         assert k.derivative_total_variation == 1.0
-        assert k.second_derivative_total_variation == 2.0
-        assert k.smoothness_class is SmoothnessClass.ORDER_TWO
 
     def test_range_and_monotonicity(self):
         k = bbm_kernel()
@@ -76,17 +75,13 @@ class TestRosenauKernel:
         assert abs(lattice_sum(rosenau_kernel()) - 1.0) < 1e-6
 
     def test_metadata_against_quadrature_oracle(self):
-        # Re-derive the frozen constants by piecewise adaptive quadrature
-        # between the sign changes of each integrand.
+        # Re-derive the frozen constant by piecewise adaptive quadrature
+        # between the sign changes of the integrand.
         k = rosenau_kernel()
 
         def dbeta_abs(x):
             a = abs(x) / SQRT2
             return 0.5 * math.exp(-a) * abs(math.sin(a))
-
-        def d2beta_abs(x):
-            a = abs(x) / SQRT2
-            return abs(math.exp(-a) * (math.cos(a) - math.sin(a))) / (2 * SQRT2)
 
         def integral(f, zeros):
             pts = [0.0] + list(zeros) + [120.0]
@@ -95,17 +90,31 @@ class TestRosenauKernel:
             )
 
         z_mu = [SQRT2 * math.pi * (i + 1) for i in range(26)]
-        z_nu = [SQRT2 * (0.25 * math.pi + i * math.pi) for i in range(26)]
         assert integral(dbeta_abs, z_mu) == pytest.approx(
             k.derivative_total_variation, abs=1e-9
-        )
-        assert integral(d2beta_abs, z_nu) == pytest.approx(
-            k.second_derivative_total_variation, abs=1e-9
         )
         # closed form for the first-derivative total variation
         assert k.derivative_total_variation == pytest.approx(
             SQRT2 / 2 / math.tanh(math.pi / 2), abs=1e-12
         )
+
+
+class TestDerivativeTotalVariation:
+    @pytest.mark.parametrize("tv", [math.nan, -1.0])
+    def test_refuses_nan_and_negative_values(self, tv):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataclasses.replace(bbm_kernel(), derivative_total_variation=tv)
+
+    def test_bounds_the_stencil_norm_unless_infinite(self):
+        # a top hat of height 5 on [-1, 1] has stencil norm 10
+        kernel = tabulated_kernel([-1.0, 1.0], [5.0, 5.0])
+        grid, linear = Grid(h=0.5, n_half=8), Nonlinearity(((1, 1.0),))
+        assert build_system(kernel, grid, linear).stencil_l1() == 10.0
+        with pytest.raises(ValueError, match="stencil norm"):
+            build_system(dataclasses.replace(kernel, derivative_total_variation=1.0),
+                         grid, linear)
+        off = dataclasses.replace(kernel, derivative_total_variation=math.inf)
+        assert build_system(off, grid, linear).stencil_l1() == 10.0
 
 
 class TestTail:
@@ -151,14 +160,6 @@ class TestTabulatedKernel:
         # nonzero endpoints add their jumps to zero
         k2 = tabulated_kernel([0.0, 1.0], [1.0, 1.0])
         assert k2.derivative_total_variation == 2.0
-
-    def test_order_two_requires_vanishing_endpoints(self):
-        with pytest.raises(ValueError):
-            tabulated_kernel([0.0, 1.0], [1.0, 0.0],
-                             smoothness_class=SmoothnessClass.ORDER_TWO)
-        k = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
-                             smoothness_class=SmoothnessClass.ORDER_TWO)
-        assert k.second_derivative_total_variation == 4.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
