@@ -101,6 +101,11 @@ def _common_payload(cfg: RunConfig, command: str) -> dict:
     }
 
 
+def _run_costs(records) -> dict:  # per run: convolution path, FFT cycle, RHS count
+    return {key: [getattr(rec, key) for rec in records]
+            for key in ("convolution", "fft_length", "rhs_calls")}
+
+
 def cmd_simulate(cfg: RunConfig):
     study = run_profile_study(cfg)
     traj = study.trajectory
@@ -156,6 +161,7 @@ def cmd_converge(cfg: RunConfig):
         "h_list": list(cfg.h_list),
         "errors": [rec.linf_error for rec, _ in entries],
         "rates": [rate for _, rate in entries],
+        **_run_costs([rec for rec, _ in entries]),
     }
 
 
@@ -178,6 +184,7 @@ def cmd_truncation(cfg: RunConfig):
         "n_list": list(cfg.n_list),
         "errors": [rec.record.linf_error for rec in records],
         "plateau_onset": plateau_onset(records),
+        **_run_costs([rec.record for rec in records]),
     }
 
 

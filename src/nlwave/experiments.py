@@ -44,9 +44,9 @@ class DegenerateRateError(ValueError):
 class ErrorRecord:
     """One run's error sample plus cost metadata.
 
-    ``convolution`` names the system's convolution path (``"direct"``,
-    ``"fft"`` or ``"tail"``); ``fft_length`` is its FFT cycle, ``None`` on
-    the other paths.
+    ``rhs_calls`` counts right-hand sides, ``convolution`` names the path
+    (``"direct"``, ``"fft"`` or ``"tail"``) and ``fft_length`` its FFT
+    cycle, ``None`` on the other paths.
     """
 
     h: float
@@ -54,6 +54,7 @@ class ErrorRecord:
     t: float
     linf_error: float
     accepted_steps: int
+    rhs_calls: int
     wall_time: float
     fft_length: int | None = None
     convolution: str = "direct"
@@ -178,6 +179,7 @@ def run_single(cfg: StudyConfig, grid: Grid):
         t=traj.times[-1],
         linf_error=err,
         accepted_steps=traj.accepted_steps,
+        rhs_calls=traj.rhs_calls,
         wall_time=wall,
         fft_length=system.fft_length,
         convolution=system.convolution,

@@ -11,10 +11,12 @@ which has no next step, skips it.  So a run makes 12 per accepted step and
 Both estimates are max-norms scaled by ``abs_tol + rel_tol * |state|_inf``
 and combine to ``err5^2 / sqrt(err5^2 + 0.01 err3^2)``; a step is accepted
 when that is at most 1 and rescaled with safety factor 0.9 and ratio clamp
-[0.2, 5].  Snapshots are delivered by clipping steps exactly onto the
-requested times, which keeps trajectories bit-reproducible for identical
-inputs.  The blow-up rule is checked here, on the ``|state|_inf`` the error
-scale computes anyway.
+[0.2, 5].  Stage inputs share one buffer per run; the new state's increment
+and both estimates are rows of the weight table ``_BE`` times the stages,
+each by a matrix-vector product, which needs no BLAS work buffer.  Snapshots
+are delivered by clipping steps exactly onto the requested times, which
+keeps trajectories bit-reproducible for identical inputs.  The blow-up rule
+is checked here, on the ``|state|_inf`` the error scale computes anyway.
 """
 
 import math
@@ -71,6 +73,7 @@ _E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
 _E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
                 1.8915178993145003, -5.801203960010585, -0.4226823213237919,
                 -0.1521609496625161, 0.20136540080403034, 0.02265179219836082])
+_BE = np.stack((_B, _E5, _E3))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -195,6 +198,7 @@ def integrate(
         return Trajectory(tuple(times), tuple(states), accepted, rejected, 0)
 
     k = np.empty((12, y.size))
+    stage, sums = np.empty(y.size), np.empty((3, y.size))
     # overflow ends in BlowUpError, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         k[0] = f(y)
@@ -213,13 +217,17 @@ def integrate(
                 raise StepFailureError(f"step size underflow at t={t:.17g}")
 
             for i in range(1, 12):
-                k[i] = f(y + h_use * (k[:i].T @ _A[i]))
-            y_new = y + h_use * (k.T @ _B)
+                np.dot(h_use * _A[i], k[:i], out=stage)
+                stage += y
+                k[i] = f(stage)
+            for weights, row in zip(h_use * _BE, sums):
+                np.dot(weights, k, out=row)
+            y_new = y + sums[0]
             y_new_norm = float(np.max(np.abs(y_new)))
             _check_state(y_new_norm, threshold, t + h_use)
             sc = cfg.abs_tol + cfg.rel_tol * max(y_norm, y_new_norm)
-            err5 = h_use * float(np.max(np.abs(k.T @ _E5))) / sc
-            err3 = h_use * float(np.max(np.abs(k.T @ _E3))) / sc
+            err5 = float(np.max(np.abs(sums[1]))) / sc
+            err3 = float(np.max(np.abs(sums[2]))) / sc
             denom = err5 * err5 + 0.01 * err3 * err3
             enorm = err5 * err5 / math.sqrt(denom) if denom > 0.0 else 0.0
 

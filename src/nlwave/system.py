@@ -7,21 +7,21 @@ No derivative of the state ever appears, which is why the time integration
 has no mesh-size stability restriction.
 
 This module is the one place that computes that convolution, by one of
-three paths that agree to rounding.  Below half-width ``FAST_CONV_MIN_N``
-it is a direct sum (``convolve_rhs_direct``).  From it upward a kernel that
-declares a tail ``beta(x) = Re(a e^{lambda x})`` for x > 0, as both
-built-in kernels do, takes the tail path: its stencil is ``sign(k) Re(c
-w^|k|)``, so the sum is a prefix sum of ``w^-j f(v_j)`` from the left end
-and one of ``w^j f(v_j)`` from the right, each accumulating toward the node
-it serves (a total minus a prefix sum would cancel).  Tabulated kernels,
-and grids whose largest tail weight ``e^{2Nh|Re lambda|}`` would pass
-1e200, take a product of real FFTs over the shortest 5-smooth cycle of at
-least ``4N+1`` points: the cyclic convolution then wraps only into entries
-outside the window ``2N..4N`` that the right-hand side reads.  The tail
-weights, the cycle length and the stencil's transform are fixed when the
-system is built.  ``f`` is evaluated by Horner's rule.  The right-hand side
-checks only the state's length: blow-up is a property of the trajectory, so
-``integrate`` owns that rule.
+three paths that agree to rounding.  At every N, a kernel that declares a
+tail ``beta(x) = Re(a e^{lambda x})`` for x > 0, as both built-in kernels
+do, takes the tail path: its stencil is ``sign(k) Re(c w^|k|)``, so the
+sum is a prefix sum of ``w^-j f(v_j)`` from the left end and one of ``w^j
+f(v_j)`` from the right, each accumulating toward the node it serves (a
+total minus a prefix sum would cancel).  Tabulated kernels, and grids whose
+largest tail weight ``e^{2Nh|Re lambda|}`` would pass 1e200, take a direct
+sum (``convolve_rhs_direct``) below half-width ``FAST_CONV_MIN_N`` and
+from it upward a product of real FFTs over the shortest 5-smooth cycle of
+at least ``4N+1`` points: the cyclic convolution then wraps only into
+entries outside the window ``2N..4N`` that the right-hand side reads.  The
+tail weights, the cycle length and the stencil's transform are fixed when
+the system is built.  ``f`` is evaluated by Horner's rule.  The right-hand
+side checks only the state's length: blow-up is a property of the
+trajectory, so ``integrate`` owns that rule.
 """
 
 import math
@@ -49,9 +49,9 @@ DEFAULT_BLOW_UP_THRESHOLD = 1e6
 # Below this half-width the direct path beats the FFT path.  Timed per call
 # with numpy 2.4 on a 2-core Xeon, the two tie within noise at N = 220..260;
 # whole runs favour the direct path at N = 240 and the FFT path at N = 260.
-# It gates the tail path too, although that path alone ties the direct one
-# per call near N = 90..120 (bbm and rosenau, timed at N = 16..240).
-# fast_mode "on"/"off" force either one for cross-checking.
+# It gates only the FFT path: the tail path ties the direct one per call
+# near N = 75..120 and loses at most 6 us below, so it runs at every N.
+# fast_mode "on"/"off" force the FFT/direct path for cross-checking.
 FAST_CONV_MIN_N = 250
 
 _MAX_SAMPLES = 513
@@ -128,11 +128,11 @@ class TruncatedSystem:
     ``w = e^{lambda h}`` and ``c = a (w - 1/w) / 2h`` give every stencil
     entry as ``sign(k) Re(c w^|k|)`` to ``1e-12 |c|`` plus the rounding of
     the sampled differences, ``4 eps |a| / h``.  ``fast_mode`` selects the
-    convolution path: ``"auto"`` uses the tail path, else the FFT path, from
-    ``N >= FAST_CONV_MIN_N`` upward; ``"on"``/``"off"`` force the FFT/direct
-    path.  ``convolution`` names the path that runs (``"direct"``, ``"fft"``
-    or ``"tail"``); ``fft_length`` is the FFT path's cycle length, ``None``
-    on the others.
+    convolution path: ``"auto"`` uses the tail path at every N, else the FFT
+    path from ``N >= FAST_CONV_MIN_N`` upward and the direct path below;
+    ``"on"``/``"off"`` force the FFT/direct path.  ``convolution`` names the
+    path that runs (``"direct"``, ``"fft"`` or ``"tail"``); ``fft_length`` is
+    the FFT path's cycle length, ``None`` on the others.
     """
 
     grid: Grid
@@ -157,8 +157,8 @@ class TruncatedSystem:
             raise ValueError("blow-up threshold must be positive")
         if self.fast_mode not in ("auto", "on", "off"):
             raise ValueError("fast_mode must be 'auto', 'on' or 'off'")
-        auto = self.fast_mode == "auto" and n >= FAST_CONV_MIN_N
-        path = "fft" if auto or self.fast_mode == "on" else "direct"
+        auto_fft = self.fast_mode == "auto" and n >= FAST_CONV_MIN_N
+        path = "fft" if auto_fft or self.fast_mode == "on" else "direct"
         if self.tail is not None:
             a, lam = self.tail
             c = a * np.sinh(lam * h) / h  # a (w - 1/w) / 2h without cancelling
@@ -172,7 +172,7 @@ class TruncatedSystem:
             # The prefix sums reach (2N+1) max|f(v)| times the largest weight
             # e^{2Nh|Re lambda|}; a cap of 1e200 leaves 1e108 of headroom for
             # |f(v)| past the blow-up threshold before they overflow.
-            if auto and abs(powers[-1]) > 1e-200:
+            if self.fast_mode == "auto" and abs(powers[-1]) > 1e-200:
                 path = "tail"
                 inverse = 1.0 / powers
                 object.__setattr__(self, "_tail_weights", (

@@ -321,7 +321,7 @@ def test_criterion_05_quadrature_orders():
 
 def test_criterion_06_convolution_path_equivalence():
     # fast_mode "on" forces the FFT path and "off" the direct one; "auto"
-    # takes the tail path on these kernels from FAST_CONV_MIN_N upward
+    # takes the tail path on these kernels at every N
     rng = np.random.default_rng(20240506)
     worst = 0.0
     auto_paths = set()
@@ -339,7 +339,7 @@ def test_criterion_06_convolution_path_equivalence():
                 diff = np.max(np.abs(system.rhs_values(v) - ref))
                 worst = max(worst, float(diff))
     ok = worst < 1e-12 and auto_paths == {
-        (32, "direct"), (64, "direct"), (256, "tail"), (400, "tail")}
+        (32, "tail"), (64, "tail"), (256, "tail"), (400, "tail")}
 
     # timing record at N = 1024 (no hard threshold)
     grid = Grid(h=0.1, n_half=1024)

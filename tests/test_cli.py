@@ -120,8 +120,8 @@ class TestSimulate:
         assert summary["snapshot_times"] == [0.0, 0.5, 1.0]
         assert summary["rhs_calls"] == (12 * summary["accepted_steps"]
                                         + 11 * summary["rejected_steps"] + 1)
-        assert summary["fft_length"] is None  # N = 48 takes the direct path
-        assert summary["convolution"] == "direct"
+        assert summary["fft_length"] is None  # bbm takes the tail path
+        assert summary["convolution"] == "tail"
         assert set(summary) >= {  # later keys may join, none may leave
             "command", "equation", "domain_half_width", "h", "t_end",
             "rel_tol", "abs_tol", "profiles", "snapshot_times", "linf_error",
@@ -131,8 +131,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "decay"])
     def test_summary_reports_the_fft_cycle(self, tmp_path, command):
-        # N = FAST_CONV_MIN_N is the smallest grid on the FFT and tail paths:
-        # a tabulated kernel takes the FFT path there, bbm its tail path
+        # N = FAST_CONV_MIN_N is the smallest grid on the FFT path, which a
+        # tabulated kernel takes there; bbm takes its tail path at every N
         grid = dict(t_end=0.1, half=0.05 * FAST_CONV_MIN_N, h=0.05)
         cfg, outdir = write_config(tmp_path, name="custom.ini",
                                    outdir=str(tmp_path / "custom"),
@@ -392,6 +392,12 @@ class TestConverge:
         # full round-trip float formatting
         assert float(rows[0][0]) == 0.5
         assert float(rows[1][2]) > 0.0
+        summary = read_json(os.path.join(outdir, "summary.json"))
+        assert summary["convolution"] == ["tail", "tail"]
+        assert summary["fft_length"] == [None, None]
+        for row, calls in zip(rows, summary["rhs_calls"], strict=True):
+            rejections = calls - 12 * int(row[4]) - 1  # 11 calls each
+            assert rejections >= 0 and rejections % 11 == 0
 
     def test_single_h_empty_rate_field(self, tmp_path):
         cfg, outdir = write_config(tmp_path, h_list="0.25")
@@ -421,6 +427,10 @@ class TestTruncation:
         assert [int(r[0]) for r in rows] == [32, 48]
         assert float(rows[0][1]) == 8.0
         assert float(rows[0][3]) >= float(rows[1][3])  # delta shrinks
+        summary = read_json(os.path.join(outdir, "summary.json"))
+        assert summary["convolution"] == ["tail", "tail"]
+        assert summary["fft_length"] == [None, None]
+        assert len(summary["rhs_calls"]) == 2 and min(summary["rhs_calls"]) > 0
 
     def test_single_n(self, tmp_path):
         cfg, outdir = write_config(tmp_path, n_list="48")
@@ -454,8 +464,8 @@ class TestDecay:
         assert summary["accepted_steps"] > 0
         assert summary["rhs_calls"] == (12 * summary["accepted_steps"]
                                         + 11 * summary["rejected_steps"] + 1)
-        assert summary["fft_length"] is None  # N = 48 takes the direct path
-        assert summary["convolution"] == "direct"
+        assert summary["fft_length"] is None  # bbm takes the tail path
+        assert summary["convolution"] == "tail"
 
     def test_zero_initial_data_custom(self, tmp_path):
         kfile = tmp_path / "kernel.txt"

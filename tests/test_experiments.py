@@ -30,7 +30,7 @@ from nlwave.problems import bbm_problem, rosenau_problem
 
 def record(h, err, n=10, t=1.0):
     return ErrorRecord(h=h, n_half=n, t=t, linf_error=err,
-                       accepted_steps=1, wall_time=0.0)
+                       accepted_steps=1, rhs_calls=13, wall_time=0.0)
 
 
 def short_bbm_config(**overrides):

@@ -166,6 +166,21 @@ class TestTableau:
         orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert all(7.5 <= q <= 8.5 for q in orders), orders
 
+    @pytest.mark.parametrize("dt", [0.2, 0.125, 0.1, 0.01])
+    def test_one_step_is_the_stability_function(self, dt):
+        # one clipped step on u' = -4u is R(z) y0 at z = -4 dt, with
+        # R(z) = 1 + z b^T (I - z A)^-1 1 from SciPy's tableau; from
+        # dt = 0.1 up, R(z) differs from e^z by more than 1e-11 relative
+        a, b = dop853.A[:12, :12], dop853.B
+        z = -4.0 * dt
+        r = 1.0 + z * (b @ np.linalg.solve(np.eye(12) - z * a, np.ones(12)))
+        system = decay_stub(rate=4.0)
+        y0 = np.array([1.0, -0.5, 2.0])
+        traj = integrate(system, SampledSequence(system.grid, y0), dt,
+                         config=IntegratorConfig(rel_tol=0.5, abs_tol=0.5))
+        assert traj.accepted_steps == 1 and traj.rejected_steps == 0
+        np.testing.assert_allclose(traj.final.values, r * y0, rtol=1e-14, atol=0)
+
 
 class TestConfigValidation:
     def test_tolerances_in_unit_interval(self):

@@ -197,20 +197,39 @@ class TestRhs:
         assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_fast_mode_auto_threshold(self):
-        # a tabulated kernel switches to the FFT path, the kernels that
-        # declare a tail to the tail path
+        # FAST_CONV_MIN_N gates only the FFT path: a tabulated kernel takes
+        # the direct path below it and the FFT path from it upward, the
+        # kernels that declare a tail take the tail path on both sides
         triangle = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-        for kernel, path in ((triangle, "fft"), (bbm_kernel(), "tail"),
-                             (rosenau_kernel(), "tail")):
+        for kernel, below, path in ((triangle, "direct", "fft"),
+                                    (bbm_kernel(), "tail", "tail"),
+                                    (rosenau_kernel(), "tail", "tail")):
             small, large = (build_system(kernel, Grid(h=0.5, n_half=n),
                                          Nonlinearity.bbm(1))
                             for n in (FAST_CONV_MIN_N - 1, FAST_CONV_MIN_N))
-            assert small.convolution == "direct"
+            assert small.convolution == below
             assert not small.use_fast and small.fft_length is None
             assert large.convolution == path
             assert large.use_fast == (path == "fft")
             assert large.fft_length == (
                 _fft_length(FAST_CONV_MIN_N) if path == "fft" else None)
+
+    @pytest.mark.parametrize("kernel, f, h", [
+        (bbm_kernel(), Nonlinearity.bbm(1), 0.1),
+        (rosenau_kernel(), Nonlinearity.rosenau(), 0.05)])
+    def test_tail_path_matches_direct_on_small_grids(self, kernel, f, h):
+        # below FAST_CONV_MIN_N "auto" runs the tail path where "off" runs
+        # the direct sum; they agree down to N = 1, three nodes
+        rng = np.random.default_rng(60)
+        for n in (1, 2, 3, 8, 16, 60):
+            g = Grid(h=h, n_half=n)
+            tail, direct = (build_system(kernel, g, f, fast_mode=mode)
+                            for mode in ("auto", "off"))
+            assert tail.convolution == "tail"
+            for _ in range(20):
+                v = rng.uniform(-1.0, 1.0, g.node_count)
+                assert np.max(np.abs(tail.rhs_values(v)
+                                     - direct.rhs_values(v))) < 1e-12
 
     def test_grid_past_the_tail_cap_falls_back_to_fft(self):
         # the largest tail weight e^{2Nh} is e^{450} at h = 0.9, under the
@@ -224,6 +243,14 @@ class TestRhs:
             assert auto.convolution == path
             v = rng.uniform(-1.0, 1.0, g.node_count)
             assert np.max(np.abs(auto.rhs_values(v) - direct.rhs_values(v))) < 1e-12
+
+    def test_grid_past_the_tail_cap_below_the_constant_stays_direct(self):
+        # e^{2Nh} is e^{480} at h = 1, N = 240: past the cap, and below
+        # FAST_CONV_MIN_N the FFT path is not taken either
+        assert 240 < FAST_CONV_MIN_N
+        g = Grid(h=1.0, n_half=240)
+        system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
+        assert system.convolution == "direct" and system.fft_length is None
 
     def test_fft_cycle_is_shortest_alias_free_5_smooth(self):
         # 4N+1 is itself 5-smooth at the tight cases N = 1, 2, 6, 11, 20, 31,
