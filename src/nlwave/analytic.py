@@ -37,16 +37,11 @@ class SolitaryWave:
     amplitude 1, speed 1/2, width 1.
     """
 
-    family: str  # "bbm" or "rosenau"
-    p: int
+    sech_power: float  # 2/p for generalized BBM, 1 for the quintic-cubic wave
     speed: float
     x0: float
     amplitude: float
     width_rate: float
-
-    @property
-    def sech_power(self) -> float:
-        return 2.0 / self.p if self.family == "bbm" else 1.0
 
 
 def bbm_solitary(p: int = 1, c: float = 1.8, x0: float = 0.0) -> SolitaryWave:
@@ -56,11 +51,11 @@ def bbm_solitary(p: int = 1, c: float = 1.8, x0: float = 0.0) -> SolitaryWave:
         raise ValueError("generalized-BBM solitary waves require speed c > 1")
     amplitude = ((p + 2) * (c - 1) / 2.0) ** (1.0 / p)
     width_rate = (p / 2.0) * math.sqrt(1.0 - 1.0 / c)
-    return SolitaryWave("bbm", int(p), c, x0, amplitude, width_rate)
+    return SolitaryWave(2.0 / p, c, x0, amplitude, width_rate)
 
 
 def rosenau_solitary(x0: float = 0.0) -> SolitaryWave:
-    return SolitaryWave("rosenau", 1, 0.5, x0, 1.0, 1.0)
+    return SolitaryWave(1.0, 0.5, x0, 1.0, 1.0)
 
 
 def evaluate_solitary(wave: SolitaryWave, x, t: float):
@@ -83,8 +78,9 @@ def initial_data(wave: SolitaryWave, grid: Grid) -> SampledSequence:
 class DecayEnvelope:
     """Static far-field bound ``|v_i| <= constant * exp(-rate |x_i| / scale)``.
 
-    ``rate`` must lie strictly inside (0, 1); ``scale`` is 1 for the
-    exponential kernel and sqrt(2) for the oscillatory one.
+    ``rate`` must lie strictly inside (0, 1); ``scale`` is the problem's
+    ``envelope_scale``: 1 for the exponential kernel, sqrt(2) for the
+    oscillatory one.
     """
 
     rate: float
@@ -98,9 +94,6 @@ class DecayEnvelope:
             raise ValueError("envelope scale must be positive")
         if not self.constant > 0:
             raise ValueError("envelope constant must be positive")
-
-    def weights(self, x: np.ndarray) -> np.ndarray:
-        return self.constant * np.exp(-self.rate * np.abs(x) / self.scale)
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,16 @@ def _common_payload(cfg: RunConfig, command: str) -> dict:
     }
 
 
-def _run_costs(records) -> dict:  # per run: convolution path, FFT cycle, RHS count
-    return {key: [getattr(rec, key) for rec in records]
-            for key in ("convolution", "fft_length", "rhs_calls")}
+def _run_facts(record) -> dict:
+    """A run's step and RHS counts and its convolution path."""
+    return {key: getattr(record, key) for key in (
+        "accepted_steps", "rejected_steps", "rhs_calls", "fft_length", "convolution")}
+
+
+def _sweep_facts(records) -> dict:
+    """The ``_run_facts`` of a sweep, one list over its grids per fact."""
+    facts = [_run_facts(rec) for rec in records]
+    return {key: [f[key] for f in facts] for key in facts[0]}
 
 
 def cmd_simulate(cfg: RunConfig):
@@ -127,11 +134,7 @@ def cmd_simulate(cfg: RunConfig):
         "profiles": list(tables),
         "snapshot_times": list(traj.times),
         "linf_error": None if math.isnan(err) else err,
-        "accepted_steps": study.record.accepted_steps,
-        "rejected_steps": traj.rejected_steps,
-        "rhs_calls": traj.rhs_calls,
-        "fft_length": study.record.fft_length,
-        "convolution": study.record.convolution,
+        **_run_facts(study.record),
         "mass_initial": study.mass_initial,
         "mass_final": study.mass_final,
         "relative_mass_drift": study.relative_mass_drift,
@@ -161,7 +164,7 @@ def cmd_converge(cfg: RunConfig):
         "h_list": list(cfg.h_list),
         "errors": [rec.linf_error for rec, _ in entries],
         "rates": [rate for _, rate in entries],
-        **_run_costs([rec for rec, _ in entries]),
+        **_sweep_facts([rec for rec, _ in entries]),
     }
 
 
@@ -184,7 +187,7 @@ def cmd_truncation(cfg: RunConfig):
         "n_list": list(cfg.n_list),
         "errors": [rec.record.linf_error for rec in records],
         "plateau_onset": plateau_onset(records),
-        **_run_costs([rec.record for rec in records]),
+        **_sweep_facts([rec.record for rec in records]),
     }
 
 
@@ -215,11 +218,7 @@ def cmd_decay(cfg: RunConfig):
         "holds_at_all_snapshots": all(holds for *_, holds in rows),
         "holds_where_exact_has_headroom":
             all(headroom_holds) if headroom_holds else None,
-        "accepted_steps": traj.accepted_steps,
-        "rejected_steps": traj.rejected_steps,
-        "rhs_calls": traj.rhs_calls,
-        "fft_length": study.record.fft_length,
-        "convolution": study.record.convolution,
+        **_run_facts(study.record),
     }
 
 

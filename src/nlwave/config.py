@@ -42,8 +42,8 @@ Custom equations replace the bbm/rosenau keys with ``kernel_file`` (two
 whitespace-delimited columns, ``#`` comments), a ``nonlinearity`` term list
 ``power:coefficient, ...`` and an ``initial`` profile (``gaussian`` or
 ``sech`` with ``initial_amplitude``, ``initial_width`` and ``initial_center``
-keys).  The decay envelope's scale comes from the equation and its constant
-from the t=0 state.
+keys).  The decay envelope's scale comes from the kernel's tail and its
+constant from the t=0 state.
 """
 
 import configparser

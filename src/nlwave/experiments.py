@@ -44,9 +44,10 @@ class DegenerateRateError(ValueError):
 class ErrorRecord:
     """One run's error sample plus cost metadata.
 
-    ``rhs_calls`` counts right-hand sides, ``convolution`` names the path
-    (``"direct"``, ``"fft"`` or ``"tail"``) and ``fft_length`` its FFT
-    cycle, ``None`` on the other paths.
+    The trajectory's ``accepted_steps``, ``rejected_steps`` and
+    ``rhs_calls``; ``convolution`` names the path (``"direct"``, ``"fft"``
+    or ``"tail"``) and ``fft_length`` its FFT cycle, ``None`` on the other
+    paths.
     """
 
     h: float
@@ -54,10 +55,11 @@ class ErrorRecord:
     t: float
     linf_error: float
     accepted_steps: int
+    rejected_steps: int
     rhs_calls: int
     wall_time: float
-    fft_length: int | None = None
-    convolution: str = "direct"
+    fft_length: int | None
+    convolution: str
 
     def __post_init__(self):
         if self.linf_error < 0:
@@ -115,7 +117,7 @@ class StudyConfig:
     blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD
 
     def __post_init__(self):
-        _normalize_snapshots(self.t_end, self.snapshot_times or None)
+        _normalize_snapshots(self.t_end, self.snapshot_times)
 
     def grid(self, h: float | None = None, n_half: int | None = None) -> Grid:
         if n_half is not None:
@@ -165,8 +167,7 @@ def run_single(cfg: StudyConfig, grid: Grid):
     else:
         raise ValueError("the problem carries neither a wave nor an initial profile")
     start = time.perf_counter()
-    traj = integrate(system, init, cfg.t_end, cfg.snapshot_times or None,
-                     cfg.integrator)
+    traj = integrate(system, init, cfg.t_end, cfg.snapshot_times, cfg.integrator)
     wall = time.perf_counter() - start
     err = (
         linf_error(traj.final, problem.wave, traj.times[-1])
@@ -179,6 +180,7 @@ def run_single(cfg: StudyConfig, grid: Grid):
         t=traj.times[-1],
         linf_error=err,
         accepted_steps=traj.accepted_steps,
+        rejected_steps=traj.rejected_steps,
         rhs_calls=traj.rhs_calls,
         wall_time=wall,
         fft_length=system.fft_length,
@@ -305,10 +307,11 @@ def plateau_onset(records: list[TruncationRecord]) -> int | None:
     """First N at which the next error stops improving by more than
     ``PLATEAU_RATIO``.
 
-    Returns the N of the first pair whose successive error ratio exceeds
-    the threshold, or None when the errors keep falling throughout.
+    Returns the N of the first pair whose later error exceeds the threshold
+    times the earlier one, or None when the errors keep falling throughout
+    (an all-zero sweep, as at ``t_end = 0``, included).
     """
     for a, b in zip(records, records[1:]):
-        if b.record.linf_error / a.record.linf_error > PLATEAU_RATIO:
+        if b.record.linf_error > PLATEAU_RATIO * a.record.linf_error:
             return a.record.n_half
     return None

@@ -146,27 +146,24 @@ def _normalize_snapshots(t_end, snapshots):
     # written so that NaN fails every comparison and is rejected
     if not 0.0 <= t_end < math.inf:
         raise ValueError("t_end must be nonnegative and finite")
-    if snapshots is None:
-        snaps = [t_end]
-    else:
-        snaps = [float(t) for t in snapshots]
+    snaps = [float(t) for t in snapshots]
     if not all(0.0 <= t <= t_end for t in snaps):
         raise ValueError("snapshot times must lie in [0, t_end]")
     if sorted(snaps) != snaps:
         raise ValueError("snapshot times must be sorted")
-    return sorted({0.0, *snaps})  # time zero first, duplicates dropped
+    return sorted({0.0, *snaps, t_end})  # both ends kept, duplicates dropped
 
 
 def integrate(
     system: TruncatedSystem,
     initial: SampledSequence,
     t_end: float,
-    snapshots=None,
+    snapshots=(),
     config: IntegratorConfig | None = None,
 ) -> Trajectory:
     """Integrate the system from t=0 and record the snapshot states.
 
-    ``snapshots`` defaults to ``[t_end]``; time zero is always recorded.
+    Times 0 and ``t_end`` are always recorded, besides ``snapshots``.
     Raises ``BlowUpError`` when the initial state or an attempted step's
     state has a sup-norm above ``system.blow_up_threshold`` or a non-finite
     value, or f(y0) is non-finite; stage inputs are not checked, but a

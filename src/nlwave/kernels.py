@@ -8,6 +8,7 @@ A tabulated kernel takes its table values on the closed support interval
 and 0 strictly outside it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -101,24 +102,6 @@ def rosenau_kernel() -> Kernel:
     )
 
 
-class _TabulatedEvaluate:
-    """Linear interpolation on the closed support, zero outside."""
-
-    def __init__(self, nodes, values):
-        self.nodes = nodes
-        self.values = values
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.nodes, self.values, left=0.0, right=0.0)
-        # np.interp clamps to the endpoint values outside the support;
-        # force exact zeros strictly outside the closed interval.
-        out = np.where((x < self.nodes[0]) | (x > self.nodes[-1]), 0.0, out)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-
 def _piecewise_linear_tv(values):
     # Total variation of the interpolant extended by zero: interior slopes
     # plus the jumps to zero at the support endpoints.
@@ -144,7 +127,9 @@ def tabulated_kernel(nodes, values) -> Kernel:
     if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(values)):
         raise ValueError("tabulation data must be finite")
     return Kernel(
-        evaluate=_TabulatedEvaluate(nodes.copy(), values.copy()),
+        # left/right give 0 strictly outside the closed support
+        evaluate=functools.partial(np.interp, xp=nodes.copy(), fp=values.copy(),
+                                   left=0.0, right=0.0),
         derivative_total_variation=float(_piecewise_linear_tv(values)),
     )
 

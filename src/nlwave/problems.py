@@ -1,6 +1,5 @@
 """Ready-made problem bundles: kernel, nonlinearity and exact-solution oracle."""
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,15 +17,20 @@ class Problem:
     ``wave`` is the exact solitary-wave oracle, or None for kernels without
     a known closed-form solution; such problems carry an explicit
     ``initial_profile`` instead and report errors by self-refinement.
-    ``envelope_scale`` is the natural length scale of the decay envelope.
     """
 
     name: str
     kernel: Kernel
     nonlinearity: Nonlinearity
     wave: SolitaryWave | None
-    envelope_scale: float = 1.0
     initial_profile: Callable | None = None
+
+    @property
+    def envelope_scale(self) -> float:
+        """Length scale of the decay envelope: the kernel tail's
+        ``1 / |Re lambda|``, or 1 for a kernel without a tail."""
+        tail = self.kernel.tail
+        return 1.0 / abs(tail[1].real) if tail is not None else 1.0
 
 
 def bbm_problem(p: int = 1, c: float = 1.8, x0: float = -18.0) -> Problem:
@@ -36,7 +40,6 @@ def bbm_problem(p: int = 1, c: float = 1.8, x0: float = -18.0) -> Problem:
         kernel=bbm_kernel(),
         nonlinearity=Nonlinearity.bbm(p),
         wave=bbm_solitary(p=p, c=c, x0=x0),
-        envelope_scale=1.0,
     )
 
 
@@ -47,7 +50,6 @@ def rosenau_problem(x0: float = -2.5) -> Problem:
         kernel=rosenau_kernel(),
         nonlinearity=Nonlinearity.rosenau(),
         wave=rosenau_solitary(x0=x0),
-        envelope_scale=math.sqrt(2.0),
     )
 
 
@@ -62,6 +64,5 @@ def custom_problem(
         kernel=kernel,
         nonlinearity=nonlinearity,
         wave=None,
-        envelope_scale=1.0,
         initial_profile=initial_profile,
     )

@@ -250,19 +250,19 @@ def build_system(
 ) -> TruncatedSystem:
     """Sample the kernel's central differences and assemble the system.
 
-    ``stencil_k = (beta((k+1)h) - beta((k-1)h)) / 2h`` for lags ``-2N..2N``.
+    ``stencil_k = (beta((k+1)h) - beta((k-1)h)) / 2h`` for lags ``-2N..2N``,
+    from one evaluation of ``beta`` on the nodes ``-(2N+1)h..(2N+1)h``.
     The mesh-weighted stencil norm can never exceed the total variation of
     ``beta'``; that bound is asserted here (1e-10 slack) as a consistency
     check on the kernel metadata.  The kernel's tail goes to the system,
     which checks it against the stencil.
     """
     h, n = grid.h, grid.n_half
-    lags = np.arange(-2 * n, 2 * n + 1)
-    bp = np.asarray(kernel.evaluate((lags + 1) * h), dtype=float)
-    bm = np.asarray(kernel.evaluate((lags - 1) * h), dtype=float)
-    if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(bm))):
+    nodes = np.arange(-2 * n - 1, 2 * n + 2) * h
+    beta = np.asarray(kernel.evaluate(nodes), dtype=float)
+    if not np.all(np.isfinite(beta)):
         raise ValueError("kernel evaluation failed at a required lag")
-    stencil = (bp - bm) / (2.0 * h)
+    stencil = (beta[2:] - beta[:-2]) / (2.0 * h)
     system = TruncatedSystem(
         grid=grid,
         stencil=stencil,

@@ -8,13 +8,18 @@ import pytest
 from nlwave import (
     DecayEnvelope,
     Grid,
+    Nonlinearity,
     SampledSequence,
+    bbm_problem,
     bbm_solitary,
     calibrate_envelope,
     check_decay,
+    custom_problem,
     evaluate_solitary,
     initial_data,
+    rosenau_problem,
     rosenau_solitary,
+    tabulated_kernel,
 )
 
 
@@ -146,6 +151,13 @@ class TestDecayEnvelope:
         narrow = calibrate_envelope(state, rate=0.9, scale=1.0)
         wide = calibrate_envelope(state, rate=0.9, scale=math.sqrt(2.0))
         assert wide.constant < narrow.constant
+
+    def test_problem_scale_is_the_kernel_tails_decay_length(self):
+        triangle = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        custom = custom_problem(triangle, Nonlinearity.bbm(1), np.zeros_like)
+        assert bbm_problem().envelope_scale == 1.0
+        assert rosenau_problem().envelope_scale == math.sqrt(2.0)
+        assert custom.envelope_scale == 1.0
 
     def test_zero_state_calibration(self):
         g = Grid(h=0.5, n_half=5)

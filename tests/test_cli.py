@@ -157,6 +157,17 @@ class TestSimulate:
         assert summary["linf_error"] == 0.0
         assert summary["rhs_calls"] == 0
 
+    def test_snapshots_short_of_t_end_still_end_there(self, tmp_path):
+        cfg, outdir = write_config(tmp_path, t_end=1.0, snapshots="0, 0.5")
+        assert main(["simulate", "--config", cfg]) == 0
+        short = read_json(os.path.join(outdir, "summary.json"))
+        assert short["snapshot_times"] == [0.0, 0.5, 1.0]
+        assert len(short["profiles"]) == 3
+        cfg, _ = write_config(tmp_path, t_end=1.0, snapshots="0, 0.5, 1")
+        assert main(["simulate", "--config", cfg]) == 0
+        listed = read_json(os.path.join(outdir, "summary.json"))
+        assert short["linf_error"] == listed["linf_error"]
+
     def test_output_override(self, tmp_path):
         cfg, _ = write_config(tmp_path)
         override = tmp_path / "elsewhere"
@@ -378,6 +389,24 @@ class TestDefaults:
             load_run_config(minimal_config(tmp_path, "bbm", (section, key)))
 
 
+@pytest.mark.parametrize("command", ["simulate", "decay", "converge", "truncation"])
+def test_every_summary_reports_the_five_run_facts(tmp_path, command):
+    # one value each for a single run, one list over the grids for a sweep
+    cfg, outdir = write_config(tmp_path)
+    assert main([command, "--config", cfg]) == 0
+    summary = read_json(os.path.join(outdir, "summary.json"))
+    facts = [summary[key] for key in ("accepted_steps", "rejected_steps",
+                                      "rhs_calls", "fft_length", "convolution")]
+    if command in ("converge", "truncation"):
+        assert len(facts[0]) == 2
+    else:
+        facts = [[fact] for fact in facts]
+    for accepted, rejected, calls, length, path in zip(*facts, strict=True):
+        assert accepted > 0
+        assert calls == 12 * accepted + 11 * rejected + 1
+        assert (length, path) == (None, "tail")
+
+
 class TestConverge:
     def test_two_h_rows_and_rate(self, tmp_path):
         cfg, outdir = write_config(tmp_path, h_list="0.5, 0.25")
@@ -431,6 +460,13 @@ class TestTruncation:
         assert summary["convolution"] == ["tail", "tail"]
         assert summary["fft_length"] == [None, None]
         assert len(summary["rhs_calls"]) == 2 and min(summary["rhs_calls"]) > 0
+
+    def test_zero_horizon_sweep_has_no_plateau(self, tmp_path):
+        cfg, outdir = write_config(tmp_path, t_end=0.0, n_list="32, 48")
+        assert main(["truncation", "--config", cfg]) == 0
+        summary = read_json(os.path.join(outdir, "summary.json"))
+        assert summary["errors"] == [0.0, 0.0]
+        assert summary["plateau_onset"] is None
 
     def test_single_n(self, tmp_path):
         cfg, outdir = write_config(tmp_path, n_list="48")

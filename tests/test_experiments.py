@@ -29,8 +29,9 @@ from nlwave.problems import bbm_problem, rosenau_problem
 
 
 def record(h, err, n=10, t=1.0):
-    return ErrorRecord(h=h, n_half=n, t=t, linf_error=err,
-                       accepted_steps=1, rhs_calls=13, wall_time=0.0)
+    return ErrorRecord(h=h, n_half=n, t=t, linf_error=err, accepted_steps=1,
+                       rejected_steps=0, rhs_calls=13, wall_time=0.0,
+                       fft_length=None, convolution="direct")
 
 
 def short_bbm_config(**overrides):

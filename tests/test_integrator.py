@@ -210,6 +210,12 @@ class TestBasicContracts:
         assert traj.times == (0.0, 0.25, 0.5, 1.0)
         assert len(traj.states) == 4
 
+    def test_t_end_recorded_without_being_listed(self):
+        system = decay_stub()
+        init = SampledSequence(system.grid, np.ones(3))
+        traj = integrate(system, init, 1.0, snapshots=[0.5])
+        assert traj.times == (0.0, 0.5, 1.0)
+
     def test_unsorted_snapshots_rejected(self):
         system = decay_stub()
         init = SampledSequence(system.grid, np.ones(3))

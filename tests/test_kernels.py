@@ -148,6 +148,21 @@ class TestTabulatedKernel:
         assert k.evaluate(5.0) == 0.0
         assert k.evaluate(-1.0) == 0.0  # endpoint value from the table
 
+    def test_evaluation_matches_the_masked_interpolant(self):
+        # np.interp's left/right zeros leave nothing for an explicit mask of
+        # the points strictly outside the support to change
+        nodes, values = np.array([-1.0, 0.0, 2.0]), np.array([0.5, 1.0, -0.25])
+        k = tabulated_kernel(nodes, values)
+        x = np.array([-np.inf, -3.0, np.nextafter(-1.0, -2.0), -1.0, 0.5, 2.0,
+                      np.nextafter(2.0, 3.0), 7.0, np.inf, np.nan])
+        masked = np.where((x < nodes[0]) | (x > nodes[-1]), 0.0,
+                          np.interp(x, nodes, values, left=0.0, right=0.0))
+        np.testing.assert_array_equal(k.evaluate(x), masked)
+        for point, expected in zip(x, masked):
+            value = k.evaluate(float(point))
+            assert isinstance(value, float)
+            np.testing.assert_array_equal(value, expected)
+
     def test_vectorized_evaluation(self):
         k = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
         out = k.evaluate(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))

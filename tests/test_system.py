@@ -109,6 +109,28 @@ class TestBuildSystem:
             expected = (beta((k + 1) * h) - beta((k - 1) * h)) / (2 * h)
             assert system.stencil[k + 2 * n] == expected
 
+    @pytest.mark.parametrize("kernel", [
+        bbm_kernel(), rosenau_kernel(),
+        tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+        tabulated_kernel([-2.0, -0.3, 0.7, 1.5], [0.4, 1.0, 0.2, -0.5]),
+    ], ids=["bbm", "rosenau", "hat", "jumps"])
+    @pytest.mark.parametrize("h", [1e-4, 0.01, 0.1, 0.37, 0.93])
+    def test_one_evaluation_gives_the_two_evaluation_stencil(self, kernel, h):
+        n = 40
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return kernel.evaluate(x)
+
+        system = build_system(dataclasses.replace(kernel, evaluate=counting),
+                              Grid(h=h, n_half=n), Nonlinearity.bbm(1))
+        assert calls == [(4 * n + 3,)]
+        lags = np.arange(-2 * n, 2 * n + 1)
+        two = (kernel.evaluate((lags + 1) * h)
+               - kernel.evaluate((lags - 1) * h)) / (2.0 * h)
+        assert np.array_equal(system.stencil, two)
+
     def test_weighted_norm_within_tv_bound(self):
         system = build_system(bbm_kernel(), Grid(h=0.25, n_half=120),
                               Nonlinearity.bbm(1))
