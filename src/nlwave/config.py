@@ -112,7 +112,7 @@ def _initial_profile(initial="gaussian", initial_amplitude=1.0,
     """Gaussian or sech bump used as custom initial data."""
     if initial not in ("gaussian", "sech"):
         raise ConfigError(f"unknown initial profile kind {initial!r}")
-    if initial_width <= 0:
+    if not initial_width > 0:
         raise ConfigError("initial profile width must be positive")
 
     def profile(x):

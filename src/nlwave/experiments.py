@@ -221,7 +221,8 @@ def run_h_refinement(cfg: StudyConfig, h_values) -> list[tuple[ErrorRecord, floa
 
     Each h must divide the domain half-width evenly.  For problems without
     an exact wave, errors are Richardson-style gaps against one extra
-    reference run at half the finest h, compared on shared nodes.
+    reference run at half the finest h, compared on shared nodes.  A rate
+    next to a zero error (as at ``t_end = 0``) is undefined, so ``None``.
     """
     grids = cfg.sweep_grids(h_values=h_values)
     results = [run_single(cfg, g) for g in grids]
@@ -246,7 +247,8 @@ def run_h_refinement(cfg: StudyConfig, h_values) -> list[tuple[ErrorRecord, floa
     out: list[tuple[ErrorRecord, float | None]] = []
     prev = None
     for rec in records:
-        rate = convergence_rate(prev, rec) if prev is not None else None
+        defined = prev is not None and prev.linf_error and rec.linf_error
+        rate = convergence_rate(prev, rec) if defined else None
         out.append((rec, rate))
         prev = rec
     return out

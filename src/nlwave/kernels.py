@@ -1,7 +1,9 @@
-"""Convolution kernels: point evaluation plus the derivative total variation.
+"""Convolution kernels: a table of values or a geometric tail.
 
-A kernel carries the total variation of its first derivative, which bounds
-the stencil norm that ``build_system`` checks.
+A kernel is given by exactly one of a vectorized ``evaluate`` or a tail
+``(a, lambda)``.  A tail kernel's values are derived from the tail,
+``beta(x) = Re(a e^{lambda |x|})``, so its values and its tail cannot
+disagree; both built-in kernels are tail kernels.
 
 Value at a jump: both built-in kernels are continuous, so they have none.
 A tabulated kernel takes its table values on the closed support interval
@@ -25,96 +27,64 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Rosenau metadata, precomputed once by a quadrature oracle (piecewise
-# adaptive quadrature between the integrand's sign changes, cross-checked
-# in the test suite against SciPy's integrate.quad and the closed form
-# |mu| = sqrt(2)/2 * coth(pi/2)):
-#   mu   = total variation of beta'    (beta' is absolutely continuous)
-_ROSENAU_MU = 0.7709807342660168
+
+@functools.cache
+def _tail_values(a, lam):
+    # one function per tail, so that kernels with equal tails compare equal
+    return lambda x: np.real(a * np.exp(lam * np.abs(x)))
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """A convolution kernel with its derivative total variation.
+    """A convolution kernel, given by exactly one of its two fields.
 
     Attributes
     ----------
     evaluate : callable
-        Vectorized point evaluation ``x -> beta(x)``.
-    derivative_total_variation : float
-        Total variation ``|mu|(R)`` of the measure ``mu = beta'``.
+        Vectorized point evaluation ``x -> beta(x)``; derived from ``tail``
+        when the kernel is built from one.
     tail : (a, lambda) or None
-        Geometric tail ``beta(x) = Re(a e^{lambda x})`` for ``x > 0``, with
-        ``Re lambda < 0``; it lets ``build_system`` take the O(N) tail path.
+        Geometric tail with ``Re lambda < 0``: the kernel is
+        ``beta(x) = Re(a e^{lambda |x|})``, which lets ``build_system`` take
+        the O(N) tail path.
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    derivative_total_variation: float
+    evaluate: Callable[[np.ndarray], np.ndarray] | None = None
     tail: tuple[complex, complex] | None = None
 
     def __post_init__(self):
-        # Written so that NaN fails too; inf is allowed and turns off
-        # build_system's stencil-norm check.
-        if not self.derivative_total_variation >= 0:
-            raise ValueError("derivative total variation must be nonnegative")
+        if (self.evaluate is None) == (self.tail is None):
+            raise ValueError("a kernel takes exactly one of evaluate and tail")
         if self.tail is not None:
             a, lam = self.tail
             if not (np.isfinite(a) and np.isfinite(lam) and lam.real < 0):
                 raise ValueError("a tail needs finite a and lambda with Re lambda < 0")
-
-
-def _bbm_evaluate(x):
-    return 0.5 * np.exp(-np.abs(x))
-
-
-def _rosenau_evaluate(x):
-    a = np.abs(x) / _SQRT2
-    return np.exp(-a) * (np.cos(a) + np.sin(a)) / (2.0 * _SQRT2)
+            object.__setattr__(self, "evaluate", _tail_values(a, lam))
 
 
 def bbm_kernel() -> Kernel:
     """Exponential kernel ``beta(x) = exp(-|x|) / 2``.
 
-    Green's function of ``1 - d^2/dx^2``.  The metadata is analytic:
-    ``beta' = -sign(x) beta`` so ``|mu|(R) = 1``.
-    Tail ``(a, lambda) = (1/2, -1)``: ``beta(x) = e^{-x} / 2`` for ``x > 0``.
+    Green's function of ``1 - d^2/dx^2``; tail ``(a, lambda) = (1/2, -1)``.
     """
-    return Kernel(
-        evaluate=_bbm_evaluate,
-        derivative_total_variation=1.0,
-        tail=(0.5, -1.0),
-    )
+    return Kernel(tail=(0.5, -1.0))
 
 
 def rosenau_kernel() -> Kernel:
     """Oscillatory-exponential kernel of ``1 + d^4/dx^4``.
 
-    ``beta(x) = exp(-|x|/sqrt2) (cos(|x|/sqrt2) + sin(|x|/sqrt2)) / (2 sqrt2)``.
-    The kernel changes sign but integrates to exactly 1.  ``_ROSENAU_MU``
-    comes from the quadrature oracle documented at the top of this module.
-    Tail ``(a, lambda) = ((1 - i) / (2 sqrt2), (-1 + i) / sqrt2)``:
-    ``Re(a e^{lambda x})`` is ``beta(x)`` above for ``x > 0``.
+    ``beta(x) = exp(-|x|/sqrt2) (cos(|x|/sqrt2) + sin(|x|/sqrt2)) / (2 sqrt2)``,
+    the tail ``(a, lambda) = ((1 - i) / (2 sqrt2), (-1 + i) / sqrt2)``.
+    The kernel changes sign but integrates to exactly 1.
     """
-    return Kernel(
-        evaluate=_rosenau_evaluate,
-        derivative_total_variation=_ROSENAU_MU,
-        tail=((1 - 1j) / (2.0 * _SQRT2), (-1 + 1j) / _SQRT2),
-    )
-
-
-def _piecewise_linear_tv(values):
-    # Total variation of the interpolant extended by zero: interior slopes
-    # plus the jumps to zero at the support endpoints.
-    return abs(values[0]) + float(np.sum(np.abs(np.diff(values)))) + abs(values[-1])
+    return Kernel(tail=((1 - 1j) / (2.0 * _SQRT2), (-1 + 1j) / _SQRT2))
 
 
 def tabulated_kernel(nodes, values) -> Kernel:
     """Kernel defined by linear interpolation of ``(nodes, values)`` samples.
 
-    Evaluates to zero outside ``[nodes[0], nodes[-1]]``.  The
-    first-derivative total variation is computed exactly from the table
-    (slopes plus endpoint jumps to zero).  A tabulated kernel declares no
-    tail, so large grids take the FFT path.
+    Evaluates to zero outside ``[nodes[0], nodes[-1]]``.  A tabulated kernel
+    has no tail, so large grids take the FFT path.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -126,12 +96,9 @@ def tabulated_kernel(nodes, values) -> Kernel:
         raise ValueError("tabulation nodes must be strictly increasing")
     if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(values)):
         raise ValueError("tabulation data must be finite")
-    return Kernel(
-        # left/right give 0 strictly outside the closed support
-        evaluate=functools.partial(np.interp, xp=nodes.copy(), fp=values.copy(),
-                                   left=0.0, right=0.0),
-        derivative_total_variation=float(_piecewise_linear_tv(values)),
-    )
+    # left/right give 0 strictly outside the closed support
+    return Kernel(evaluate=functools.partial(np.interp, xp=nodes.copy(),
+                                             fp=values.copy(), left=0.0, right=0.0))
 
 
 def kernel_from_file(path) -> Kernel:

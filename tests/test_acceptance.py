@@ -258,15 +258,24 @@ def test_criterion_03_truncation_plateau(truncation_sweep):
 
 
 def test_criterion_04_stencil_norm_bound():
+    # |mu|(R), the total variation of beta': 1 for bbm (|beta'| = beta), and
+    # sqrt2/2 coth(pi/2) for rosenau, cross-checked by quadrature of
+    # |beta'| = e^{-a} |sin a| / 2, a = |x| / sqrt2, between its sign changes
+    rosenau_tv = SQRT2 / 2 / math.tanh(math.pi / 2)
+    ends = [SQRT2 * math.pi * i for i in range(27)] + [120.0]
+    oracle = 2 * sum(
+        quad(lambda x: 0.5 * math.exp(-x / SQRT2) * abs(math.sin(x / SQRT2)),
+             lo, hi, limit=300)[0] for lo, hi in zip(ends, ends[1:]))
+    assert oracle == pytest.approx(rosenau_tv, abs=1e-9)
     # the stencil the runs use, over all 4N+1 lags
     worst = 0.0
-    for kernel in (bbm_kernel(), rosenau_kernel()):
+    for kernel, tv in ((bbm_kernel(), 1.0), (rosenau_kernel(), rosenau_tv)):
         for h in (0.5, 0.25, 0.1, 0.05):
             grid = Grid(h=h, n_half=int(round(40.0 / h)))
-            norm = build_system(kernel, grid, Nonlinearity.bbm(1)).stencil_l1()
-            margin = norm - kernel.derivative_total_variation
-            worst = max(worst, margin)
-            assert norm <= kernel.derivative_total_variation + 1e-10
+            system = build_system(kernel, grid, Nonlinearity.bbm(1))
+            norm = h * float(np.sum(np.abs(system.stencil)))
+            worst = max(worst, norm - tv)
+            assert norm <= tv + 1e-10
     announce(4, True, f"worst norm-minus-bound margin {worst:.3e} (<= 1e-10)")
 
 

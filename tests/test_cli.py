@@ -326,13 +326,17 @@ class TestValidation:
         "kernel-missing": ("simulate", dict(equation=CUSTOM_EQUATION)),
         "kernel-directory": ("simulate", dict(equation=CUSTOM_EQUATION.replace(
             "kernel.txt", "."))),
+        "nan-initial_width": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION + "\ninitial_width = nan")),
     }
+    # cases whose refusal must name the offending key
+    MESSAGES = {"nan-initial_width": "width"}
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_rejected_before_any_output(self, tmp_path, capsys, case):
         command, overrides = self.BAD_INPUTS[case]
         cfg, _ = write_config(tmp_path, **overrides)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=self.MESSAGES.get(case)):
             load_run_config(cfg)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("nlwave: config error: ")
@@ -434,6 +438,16 @@ class TestConverge:
         _, rows = read_csv(os.path.join(outdir, "convergence.csv"))
         assert len(rows) == 1
         assert rows[0][3] == ""
+
+    def test_zero_horizon_sweep_has_no_rates(self, tmp_path):
+        # every error is 0 at t_end = 0, where no observed order is defined
+        cfg, outdir = write_config(tmp_path, t_end=0.0, h_list="0.5, 0.25")
+        assert main(["converge", "--config", cfg]) == 0
+        _, rows = read_csv(os.path.join(outdir, "convergence.csv"))
+        assert [(float(r[2]), r[3]) for r in rows] == [(0.0, ""), (0.0, "")]
+        summary = read_json(os.path.join(outdir, "summary.json"))
+        assert summary["errors"] == [0.0, 0.0]
+        assert summary["rates"] == [None, None]
 
     def test_deterministic_modulo_timing(self, tmp_path):
         cfg, outdir = write_config(tmp_path, h_list="0.5, 0.25")
@@ -554,6 +568,14 @@ class TestCustomEquation:
         assert main(["truncation", "--config", str(path)]) == 2
         assert not (outdir / "truncation.csv").exists()
 
+    def test_tall_top_hat_runs(self, tmp_path):
+        # its stencil norm at h = 0.3 is its derivative total variation,
+        # 2e8, which no build-time bound may refuse by rounding
+        cfg, outdir = write_config(tmp_path, kernel="-0.3 1e8\n0.3 1e8\n",
+                                   equation=CUSTOM_EQUATION, h=0.3, t_end=1e-6)
+        assert main(["simulate", "--config", cfg]) == 0
+        assert read_json(os.path.join(outdir, "summary.json"))["t_end"] == 1e-6
+
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -596,6 +618,22 @@ class TestShippedConfigs:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["systems"] == 15
+
+    def test_tracer_finds_every_hook_point(self):
+        # the benchmark's per-layer figures come from these hooks; one whose
+        # function has left src/ only prints a line and blanks its figures
+        root = os.path.join(os.path.dirname(__file__), "..")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path[:0] = sys.argv[1:]\n"
+             "from tracer import Tracer\n"
+             "with Tracer().hooks():\n    pass\n",
+             os.path.join(root, "src"), os.path.join(root, "perfbench")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_bbm_convergence_study_end_to_end(self, tmp_path):
         cfg = os.path.join(CONFIG_DIR, "bbm_convergence.ini")

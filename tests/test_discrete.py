@@ -36,8 +36,8 @@ def convolve(w, v, h, fast_mode="auto"):
 def central_differences(function, grid):
     """``(function((k+1)h) - function((k-1)h)) / 2h`` for lags ``-2N..2N``,
     the stencil ``build_system`` samples from a kernel."""
-    kernel = Kernel(evaluate=function, derivative_total_variation=math.inf)
-    return build_system(kernel, grid, Nonlinearity(((1, 1.0),))).stencil
+    return build_system(Kernel(evaluate=function), grid,
+                        Nonlinearity(((1, 1.0),))).stencil
 
 
 def rectangle_defect(function, h, reference):
@@ -179,8 +179,8 @@ class TestDiscreteConvolution:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_young_inequality(self):
-        # max |rhs| <= stencil_l1 * max |f(v)|, the bound behind the
-        # stencil-norm stability argument, on both convolution paths
+        # max |rhs| <= sum_k h |stencil_k| * max |f(v)|, the bound behind
+        # the stencil-norm stability argument, on both convolution paths
         g = Grid(h=0.2, n_half=40)
         rng = np.random.default_rng(5)
         for fast_mode in ("on", "off"):
@@ -189,7 +189,8 @@ class TestDiscreteConvolution:
             for _ in range(20):
                 v = rng.uniform(-1, 1, g.node_count)
                 fv = system.nonlinearity.evaluate_values(v)
-                bound = system.stencil_l1() * float(np.max(np.abs(fv)))
+                norm = g.h * float(np.sum(np.abs(system.stencil)))
+                bound = norm * float(np.max(np.abs(fv)))
                 rhs = system.rhs_values(v)
                 assert float(np.max(np.abs(rhs))) <= bound * (1 + 1e-12)
 
@@ -225,22 +226,6 @@ class TestCentralDifference:
         kernel = tabulated_kernel([-1.0, 0.0, 1.0], [2.0, 0.0, 4.0])
         d = central_differences(kernel.evaluate, Grid(h=1.0, n_half=1))
         np.testing.assert_allclose(d, [1.0, 0.0, 1.0, 0.0, -2.0])
-
-
-class TestLpNorm:
-    """The mesh-weighted l1 norm of the stencil, ``sum_k h |stencil_k|``."""
-
-    def test_zero(self):
-        system = TruncatedSystem(grid=Grid(h=0.5, n_half=2), stencil=np.zeros(9),
-                                 nonlinearity=Nonlinearity(((1, 1.0),)))
-        assert system.stencil_l1() == 0.0
-
-    def test_single_entry_l1(self):
-        stencil = np.zeros(9)
-        stencil[1] = -3.0
-        system = TruncatedSystem(grid=Grid(h=0.5, n_half=2), stencil=stencil,
-                                 nonlinearity=Nonlinearity(((1, 1.0),)))
-        assert system.stencil_l1() == 0.5 * 3.0
 
 
 class TestQuadratureProbe:

@@ -1,4 +1,4 @@
-"""Kernel evaluation and the derivative total variation."""
+"""Kernels given by a tail or by a table, and their evaluation."""
 
 import dataclasses
 import math
@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from nlwave import (
     Grid,
+    Kernel,
     Nonlinearity,
     build_system,
     bbm_kernel,
@@ -20,6 +21,21 @@ from nlwave import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def bbm_closed_form(x):
+    return 0.5 * np.exp(-np.abs(x))
+
+
+def rosenau_closed_form(x):
+    a = np.abs(x) / SQRT2
+    return np.exp(-a) * (np.cos(a) + np.sin(a)) / (2.0 * SQRT2)
+
+
+def stencil_norm(kernel, h, n_half):
+    """Mesh-weighted stencil norm ``sum_k h |Dbeta_h(k)|`` of a built system."""
+    system = build_system(kernel, Grid(h=h, n_half=n_half), Nonlinearity(((1, 1.0),)))
+    return h * float(np.sum(np.abs(system.stencil)))
 
 
 def lattice_sum(kernel, h=0.002, half_width=60.0):
@@ -39,7 +55,9 @@ class TestBBMKernel:
 
     def test_metadata(self):
         k = bbm_kernel()
-        assert k.derivative_total_variation == 1.0
+        assert [f.name for f in dataclasses.fields(k)] == ["evaluate", "tail"]
+        assert k.tail == (0.5, -1.0)
+        assert k == bbm_kernel() and k.evaluate is bbm_kernel().evaluate
 
     def test_range_and_monotonicity(self):
         k = bbm_kernel()
@@ -49,9 +67,11 @@ class TestBBMKernel:
         assert np.all(np.diff(v) <= 0.0)
 
     def test_derivative_tv_quadrature_oracle(self):
-        # |beta'| = beta away from the origin, so |mu|(R) = integral of beta.
-        val, _ = quad(lambda x: 0.5 * math.exp(-abs(x)), 0, 60, limit=200)
-        assert abs(2 * val - bbm_kernel().derivative_total_variation) < 1e-9
+        # |beta'| = beta away from the origin, so |mu|(R) = integral of beta,
+        # which is 1, the bound of criterion 4
+        k = bbm_kernel()
+        val, _ = quad(lambda x: float(k.evaluate(x)), 0, 60, limit=200)
+        assert abs(2 * val - 1.0) < 1e-9
 
 
 class TestRosenauKernel:
@@ -75,13 +95,13 @@ class TestRosenauKernel:
         assert abs(lattice_sum(rosenau_kernel()) - 1.0) < 1e-6
 
     def test_metadata_against_quadrature_oracle(self):
-        # Re-derive the frozen constant by piecewise adaptive quadrature
-        # between the sign changes of the integrand.
-        k = rosenau_kernel()
+        # The total variation of beta', the bound of criterion 4, by
+        # piecewise adaptive quadrature between the sign changes of the
+        # integrand: beta' = Re(a lambda e^{lambda x}) for x > 0.
+        a, lam = rosenau_kernel().tail
 
         def dbeta_abs(x):
-            a = abs(x) / SQRT2
-            return 0.5 * math.exp(-a) * abs(math.sin(a))
+            return abs((a * lam * np.exp(lam * x)).real)
 
         def integral(f, zeros):
             pts = [0.0] + list(zeros) + [120.0]
@@ -91,39 +111,23 @@ class TestRosenauKernel:
 
         z_mu = [SQRT2 * math.pi * (i + 1) for i in range(26)]
         assert integral(dbeta_abs, z_mu) == pytest.approx(
-            k.derivative_total_variation, abs=1e-9
-        )
-        # closed form for the first-derivative total variation
-        assert k.derivative_total_variation == pytest.approx(
-            SQRT2 / 2 / math.tanh(math.pi / 2), abs=1e-12
+            SQRT2 / 2 / math.tanh(math.pi / 2), abs=1e-9
         )
 
 
-class TestDerivativeTotalVariation:
-    @pytest.mark.parametrize("tv", [math.nan, -1.0])
-    def test_refuses_nan_and_negative_values(self, tv):
-        with pytest.raises(ValueError, match="nonnegative"):
-            dataclasses.replace(bbm_kernel(), derivative_total_variation=tv)
-
-    def test_bounds_the_stencil_norm_unless_infinite(self):
-        # a top hat of height 5 on [-1, 1] has stencil norm 10
-        kernel = tabulated_kernel([-1.0, 1.0], [5.0, 5.0])
-        grid, linear = Grid(h=0.5, n_half=8), Nonlinearity(((1, 1.0),))
-        assert build_system(kernel, grid, linear).stencil_l1() == 10.0
-        with pytest.raises(ValueError, match="stencil norm"):
-            build_system(dataclasses.replace(kernel, derivative_total_variation=1.0),
-                         grid, linear)
-        off = dataclasses.replace(kernel, derivative_total_variation=math.inf)
-        assert build_system(off, grid, linear).stencil_l1() == 10.0
+CLOSED_FORMS = {bbm_kernel(): bbm_closed_form, rosenau_kernel(): rosenau_closed_form}
 
 
 class TestTail:
     @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()])
     def test_declared_tail_is_the_kernel_for_positive_x(self, kernel):
-        a, lam = kernel.tail
-        x = np.linspace(0.0, 30.0, 301)
-        np.testing.assert_allclose(kernel.evaluate(x), np.real(a * np.exp(lam * x)),
-                                   rtol=1e-14, atol=1e-17)
+        # the values derived from the tail are the closed forms, on both
+        # sides of the origin; bbm's real tail reproduces them bit for bit
+        x = np.linspace(-30.0, 30.0, 601)
+        closed = CLOSED_FORMS[kernel](x)
+        np.testing.assert_allclose(kernel.evaluate(x), closed, rtol=1e-14, atol=1e-17)
+        if kernel == bbm_kernel():
+            np.testing.assert_array_equal(kernel.evaluate(x), closed)
 
     def test_tabulated_kernels_declare_none(self):
         assert tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]).tail is None
@@ -133,8 +137,18 @@ class TestTail:
                                       (0.5, complex(-math.inf, 1.0)),
                                       (0.5, complex(-1.0, math.nan))])
     def test_refuses_a_tail_that_does_not_decay_or_is_not_finite(self, tail):
-        with pytest.raises(ValueError, match="tail"):
-            dataclasses.replace(bbm_kernel(), tail=tail)
+        with pytest.raises(ValueError, match="Re lambda < 0"):
+            Kernel(tail=tail)
+
+    def test_refuses_neither_or_both_of_evaluate_and_tail(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            Kernel()
+        with pytest.raises(ValueError, match="exactly one"):
+            Kernel(evaluate=bbm_closed_form, tail=(0.5, -1.0))
+        # a tail kernel's values are derived from it, so replacing them is
+        # giving both
+        with pytest.raises(ValueError, match="exactly one"):
+            dataclasses.replace(bbm_kernel(), evaluate=bbm_closed_form)
 
 
 class TestTabulatedKernel:
@@ -169,12 +183,22 @@ class TestTabulatedKernel:
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0, 0.5, 0.0])
 
     def test_default_derivative_tv_from_table(self):
-        # slopes +-1 over unit segments plus zero endpoint jumps
+        # The stencil norm is at most the total variation of beta' read
+        # from the table: slopes +-1 over unit segments plus zero endpoint
+        # jumps, 2 for both tables; the flat table's reaches it.
         k = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-        assert k.derivative_total_variation == 2.0
-        # nonzero endpoints add their jumps to zero
         k2 = tabulated_kernel([0.0, 1.0], [1.0, 1.0])
-        assert k2.derivative_total_variation == 2.0
+        for h in (0.5, 0.25, 0.1, 0.03):
+            n = int(round(3.0 / h))
+            assert stencil_norm(k, h, n) <= 2.0 + 1e-12
+            assert stencil_norm(k2, h, n) <= 2.0 + 1e-12
+        assert stencil_norm(k2, 0.25, 12) == 2.0
+
+    def test_tall_top_hat_builds(self):
+        # its stencil norm, 2e8, is the table's total variation of beta';
+        # no bound on that norm refuses the build by rounding
+        k = tabulated_kernel([-0.3, 0.3], [1e8, 1e8])
+        assert stencil_norm(k, 0.3, 8) == pytest.approx(2e8, rel=1e-15)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -200,8 +224,9 @@ class TestTabulatedKernel:
             " 1.0  0.0\n"
         )
         k = kernel_from_file(path)
-        assert k.evaluate(0.5) == 0.5
-        assert k.derivative_total_variation == 2.0
+        np.testing.assert_array_equal(k.evaluate(np.array([-1.0, -0.5, 0.0, 0.5, 1.0])),
+                                      [0.0, 0.5, 1.0, 0.5, 0.0])
+        assert k.tail is None
 
     def test_load_rejects_wrong_shape(self, tmp_path):
         path = tmp_path / "bad.txt"
