@@ -21,7 +21,6 @@ from .analytic import (
 )
 from .discrete import Grid, SampledSequence, restrict
 from .experiments import (
-    DegenerateRateError,
     ErrorRecord,
     StudyConfig,
     convergence_rate,
@@ -95,7 +94,6 @@ __all__ = [
     "custom_problem",
     "StudyConfig",
     "ErrorRecord",
-    "DegenerateRateError",
     "linf_error",
     "convergence_rate",
     "fit_observed_order",

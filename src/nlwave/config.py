@@ -112,6 +112,10 @@ def _initial_profile(initial="gaussian", initial_amplitude=1.0,
     """Gaussian or sech bump used as custom initial data."""
     if initial not in ("gaussian", "sech"):
         raise ConfigError(f"unknown initial profile kind {initial!r}")
+    for key, value in dict(initial_amplitude=initial_amplitude, initial_width=initial_width,
+                           initial_center=initial_center).items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     if not initial_width > 0:
         raise ConfigError("initial profile width must be positive")
 

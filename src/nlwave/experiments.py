@@ -2,8 +2,9 @@
 
 The studies mirror the standard solitary-wave benchmark set: a profile
 comparison at one resolution, an h-refinement sweep at fixed domain, and a
-domain-truncation sweep at fixed mesh size.  The sweeps run their grids
-one after another, in the order of their parameter lists.
+domain-truncation sweep at fixed mesh size.  The h-refinement sweep runs its
+grids one after another; the truncation sweep steps its grids in lockstep as
+rows of one system, each with its own step-size controller and counts.
 """
 
 import dataclasses
@@ -20,7 +21,6 @@ from .problems import Problem
 from .system import DEFAULT_BLOW_UP_THRESHOLD, build_system, discrete_mass
 
 __all__ = [
-    "DegenerateRateError",
     "ErrorRecord",
     "StudyConfig",
     "ProfileStudy",
@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 
-class DegenerateRateError(ValueError):
-    """A convergence rate was requested from a zero error."""
-
-
 @dataclass(frozen=True)
 class ErrorRecord:
     """One run's error sample plus cost metadata.
@@ -47,7 +43,8 @@ class ErrorRecord:
     The trajectory's ``accepted_steps``, ``rejected_steps`` and
     ``rhs_calls``; ``convolution`` names the path (``"direct"``, ``"fft"``
     or ``"tail"``) and ``fft_length`` its FFT cycle, ``None`` on the other
-    paths.
+    paths.  ``wall_time`` is the integration's: on a grid integrated as a
+    row of a stack, that of the whole stack, the same for every row.
     """
 
     h: float
@@ -78,7 +75,7 @@ def convergence_rate(e1: ErrorRecord, e2: ErrorRecord) -> float:
     if e1.h == e2.h:
         raise ValueError("rate needs two distinct mesh sizes")
     if e1.linf_error == 0.0 or e2.linf_error == 0.0:
-        raise DegenerateRateError("zero error: the observed order is undefined")
+        raise ValueError("zero error: the observed order is undefined")
     return math.log(e1.linf_error / e2.linf_error) / math.log(e1.h / e2.h)
 
 
@@ -152,41 +149,42 @@ def run_single(cfg: StudyConfig, grid: Grid):
     The record's error field is NaN when the problem has no exact-solution
     oracle; study drivers fill it by self-refinement in that case.
     """
+    return _run_rows(cfg, [grid])[0]
+
+
+def _run_rows(cfg: StudyConfig, grids: list[Grid]):
+    # grids of one h, N increasing, as rows of one system; (trajectory, record)s
     problem = cfg.problem
+    if problem.wave is not None:
+        inits = [initial_data(problem.wave, grid) for grid in grids]
+    elif problem.initial_profile is not None:
+        inits = [restrict(problem.initial_profile, grid) for grid in grids]
+    else:
+        raise ValueError("the problem carries neither a wave nor an initial profile")
     system = build_system(
         problem.kernel,
-        grid,
+        grids[-1],
         problem.nonlinearity,
         blow_up_threshold=cfg.blow_up_threshold,
         fast_mode=cfg.fast_mode,
+        rows=tuple(grid.n_half for grid in grids),
     )
-    if problem.wave is not None:
-        init = initial_data(problem.wave, grid)
-    elif problem.initial_profile is not None:
-        init = restrict(problem.initial_profile, grid)
-    else:
-        raise ValueError("the problem carries neither a wave nor an initial profile")
     start = time.perf_counter()
-    traj = integrate(system, init, cfg.t_end, cfg.snapshot_times, cfg.integrator)
+    trajs = integrate(system, inits, cfg.t_end, cfg.snapshot_times, cfg.integrator)
     wall = time.perf_counter() - start
-    err = (
-        linf_error(traj.final, problem.wave, traj.times[-1])
-        if problem.wave is not None
-        else math.nan
-    )
-    record = ErrorRecord(
-        h=grid.h,
-        n_half=grid.n_half,
+    return [(traj, ErrorRecord(
+        h=traj.final.grid.h,
+        n_half=traj.final.grid.n_half,
         t=traj.times[-1],
-        linf_error=err,
+        linf_error=(linf_error(traj.final, problem.wave, traj.times[-1])
+                    if problem.wave is not None else math.nan),
         accepted_steps=traj.accepted_steps,
         rejected_steps=traj.rejected_steps,
         rhs_calls=traj.rhs_calls,
         wall_time=wall,
         fft_length=system.fft_length,
         convolution=system.convolution,
-    )
-    return traj, record
+    )) for traj in trajs]
 
 
 @dataclass(frozen=True)
@@ -285,20 +283,22 @@ def run_truncation_study(cfg: StudyConfig, n_values) -> list[TruncationRecord]:
     The domain ``[-N h, N h]`` grows with N; the boundary band (outermost
     ``BAND_FRACTION`` of nodes on each side) yields the diagnostics
     ``delta`` (band amplitude over all snapshots) and ``eps_delta``
-    (max |f| over ``[-delta, delta]``).
+    (max |f| over ``[-delta, delta]``).  The grids run as the rows of one
+    system on the widest grid, whose path each record names.
     """
     grids = cfg.sweep_grids(n_values=n_values)
     if cfg.problem.wave is None:
         raise ValueError("the truncation study needs an exact-solution oracle")
+    if not grids:
+        return []
 
     records = []
-    for grid in grids:
-        traj, rec = run_single(cfg, grid)
+    for traj, rec in _run_rows(cfg, grids):
         delta = _boundary_band_sup(traj)
         eps = cfg.problem.nonlinearity.max_abs_on_interval(delta)
         records.append(TruncationRecord(
             record=rec,
-            domain_half_width=grid.half_width,
+            domain_half_width=traj.final.grid.half_width,
             delta=delta,
             eps_delta=eps,
         ))

@@ -11,25 +11,28 @@ which has no next step, skips it.  So a run makes 12 per accepted step and
 Both estimates are max-norms scaled by ``abs_tol + rel_tol * |state|_inf``
 and combine to ``err5^2 / sqrt(err5^2 + 0.01 err3^2)``; a step is accepted
 when that is at most 1 and rescaled with safety factor 0.9 and ratio clamp
-[0.2, 5].  Stage inputs share one buffer per run; the new state's increment
-and both estimates are rows of the weight table ``_BE`` times the stages,
-each by a matrix-vector product, which needs no BLAS work buffer.  Snapshots
-are delivered by clipping steps exactly onto the requested times, which
-keeps trajectories bit-reproducible for identical inputs.  The blow-up rule
-is checked here, on the ``|state|_inf`` the error scale computes anyway.
+[0.2, 5].  Snapshots are delivered by clipping steps exactly onto the
+requested times, which keeps trajectories bit-reproducible for identical
+inputs.  The blow-up rule is checked here, on the ``|state|_inf`` the error
+scale computes anyway.  One loop runs every run, a single grid as a stack
+of one row: a stack's rows step in lockstep, one right-hand side per stage
+for all, each with its own clock, step size, snapshots, accept/reject
+decision and counts (Hairer, Norsett and Wanner, Sec. II.4).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .discrete import SampledSequence
+from .discrete import Grid, SampledSequence
 from .system import BlowUpError, TruncatedSystem
 
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
+    "TrajectoryStack",
     "StepFailureError",
     "integrate",
 ]
@@ -73,7 +76,11 @@ _E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
 _E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
                 1.8915178993145003, -5.801203960010585, -0.4226823213237919,
                 -0.1521609496625161, 0.20136540080403034, 0.02265179219836082])
-_BE = np.stack((_B, _E5, _E3))
+# Weights on the stages of the 11 stage inputs, the new state and the two
+# estimates; times a row's h, each is one vector-matrix product per row.
+_STEP = np.zeros((14, 12))
+for _i, _w in enumerate(_A[1:] + (_B, _E5, _E3)):
+    _STEP[_i, :_w.size] = _w
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -117,29 +124,28 @@ class Trajectory:
         return self.states[-1]
 
 
-def _initial_step_heuristic(f, y0, f0, rel_tol, abs_tol):
-    # Classic curvature heuristic from the first two right-hand sides:
-    # scale a trial Euler step by the observed change of f.
-    sc = abs_tol + rel_tol * float(np.max(np.abs(y0)))
-    d0 = float(np.max(np.abs(y0))) / sc
-    d1 = float(np.max(np.abs(f0))) / sc
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    f1 = f(y0 + h0 * f0)
-    d2 = float(np.max(np.abs(f1 - f0))) / sc / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / (_ERROR_ORDER + 1))
-    return min(100.0 * h0, h1)
+def _initial_steps(f, y0, f0, probe, rows, t_max, cfg):
+    # Each row's f(y0) must be finite; then the classic curvature heuristic
+    # per row: scale a trial Euler step by the observed change of f.
+    for row, f_norm in zip(rows, np.abs(f0).max(axis=-1).tolist()):
+        _check_state(f_norm, math.inf, 0.0, row.grid)
+        row.sc, row.rhs_calls = cfg.abs_tol + cfg.rel_tol * row.y_norm, 2  # f(y0), probe
+        d0, row.d1 = row.y_norm / row.sc, f_norm / row.sc
+        row.h = 1e-6 if (d0 < 1e-5 or row.d1 < 1e-5) else 0.01 * d0 / row.d1
+    f(y0 + np.array([row.h for row in rows])[:, None] * f0, out=probe)
+    for row, df in zip(rows, np.abs(probe - f0).max(axis=-1).tolist()):
+        d = max(row.d1, df / row.sc / row.h)
+        h1 = max(1e-6, row.h * 1e-3) if d <= 1e-15 else (0.01 / d) ** (1 / (_ERROR_ORDER + 1))
+        row.h = min(100.0 * row.h, h1, t_max)
 
 
-def _check_state(norm, threshold, t):
+def _check_state(norm, threshold, t, grid):
     # isfinite first: NaN fails it, and inf is caught even at threshold inf
     if not math.isfinite(norm):
-        raise BlowUpError(f"non-finite values at t={t:.17g}")
+        raise BlowUpError(f"non-finite values at t={t:.17g} on the N={grid.n_half} grid")
     if norm > threshold:
-        raise BlowUpError(f"state sup-norm {norm:g} exceeded the blow-up "
-                          f"threshold {threshold:g} at t={t:.17g}")
+        raise BlowUpError(f"state sup-norm {norm:g} exceeded the blow-up threshold "
+                          f"{threshold:g} at t={t:.17g} on the N={grid.n_half} grid")
 
 
 def _normalize_snapshots(t_end, snapshots):
@@ -154,98 +160,112 @@ def _normalize_snapshots(t_end, snapshots):
     return sorted({0.0, *snaps, t_end})  # both ends kept, duplicates dropped
 
 
+class TrajectoryStack(tuple):
+    """The rows' trajectories of a stacked system; step counts sum over rows."""
+    accepted_steps = property(lambda self: sum(t.accepted_steps for t in self))
+    rejected_steps = property(lambda self: sum(t.rejected_steps for t in self))
+
+
 def integrate(
     system: TruncatedSystem,
-    initial: SampledSequence,
+    initial,
     t_end: float,
     snapshots=(),
     config: IntegratorConfig | None = None,
-) -> Trajectory:
+) -> Trajectory | TrajectoryStack:
     """Integrate the system from t=0 and record the snapshot states.
 
-    Times 0 and ``t_end`` are always recorded, besides ``snapshots``.
-    Raises ``BlowUpError`` when the initial state or an attempted step's
-    state has a sup-norm above ``system.blow_up_threshold`` or a non-finite
-    value, or f(y0) is non-finite; stage inputs are not checked, but a
-    non-finite stage enters the step's state (0 * NaN = NaN).  Raises
-    ``StepFailureError`` when the controller underflows the step or runs
-    out of its step budget.
+    Times 0 and ``t_end`` are always recorded, besides ``snapshots``.  Given
+    a sequence of states, one per row of a system built with ``rows``, returns
+    their ``TrajectoryStack``.  Raises ``BlowUpError``, naming the grid, when
+    the initial state or an attempted step's state has a sup-norm above
+    ``system.blow_up_threshold`` or a non-finite value, or f(y0) is
+    non-finite; stage inputs are not checked, but a non-finite stage enters
+    the step's state (0 * NaN = NaN).  Raises ``StepFailureError`` when the
+    controller underflows the step or runs out of its step budget.
     """
-    if initial.grid != system.grid:
+    states = (initial,) if isinstance(initial, SampledSequence) else tuple(initial)
+    if not system.rows:  # a single grid runs as a stack of one row
+        system = replace(system, rows=(system.grid.n_half,))
+    if [s.grid for s in states] != [Grid(system.grid.h, n) for n in system.rows]:
         raise ValueError("initial state grid does not match the system grid")
     cfg = config or IntegratorConfig()
-    snaps = _normalize_snapshots(t_end, snapshots)
-    rhs_calls = 0
+    targets = [s for s in _normalize_snapshots(t_end, snapshots) if s > 0.0]
+    k = np.zeros((13, len(states), system.grid.node_count))  # y, 12 stages; padding 0
+    y, rows = k[0], []
+    for i, state in enumerate(states):
+        y[i, :state.values.size] = state.values
+        rows.append(SimpleNamespace(grid=state.grid, t=0.0, target=0, accepted=0,
+                                    rejected=0, rhs_calls=0, times=[0.0], states=[state],
+                                    y_norm=float(np.max(np.abs(state.values)))))
+        _check_state(rows[-1].y_norm, system.blow_up_threshold, 0.0, state.grid)
 
-    def f(v):
-        nonlocal rhs_calls
-        rhs_calls += 1
-        return system.rhs_values(v)
-
-    t = 0.0
-    y = initial.values.copy()
-    times = [0.0]
-    states = [SampledSequence(system.grid, y)]
-    targets = [s for s in snaps if s > 0.0]
-    accepted = rejected = 0
-    threshold = system.blow_up_threshold
-    y_norm = float(np.max(np.abs(y)))
-    _check_state(y_norm, threshold, t)
-    if not targets:
-        return Trajectory(tuple(times), tuple(states), accepted, rejected, 0)
-
-    k = np.empty((12, y.size))
-    stage, sums = np.empty(y.size), np.empty((3, y.size))
     # overflow ends in BlowUpError, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        k[0] = f(y)
-        _check_state(float(np.max(np.abs(k[0]))), math.inf, t)  # f(y0) finite
-        h = min(_initial_step_heuristic(f, y, k[0], cfg.rel_tol, cfg.abs_tol),
-                targets[-1])
+        if targets:
+            system.rhs_values(y, out=k[1])
+            _initial_steps(system.rhs_values, y, k[1], k[2], rows, targets[-1], cfg)
+        w = np.empty((len(rows), 14, 12))  # _STEP times each row's h
+        sums = np.empty((3, *y.shape))  # a stage input, then the new state; err5; err3
+        # product i: row i of each row's weights times that row's stages
+        products = [(w[:, i, None, :min(i + 1, 12)], k[1:min(i + 2, 13)].transpose(1, 0, 2),
+                     sums[max(i - 11, 0), :, None]) for i in range(14)]
+        while any(row.target < len(targets) for row in rows):
+            for row in rows:
+                row.h_use = 0.0  # a finished row idles on its final state
+                if row.target == len(targets):
+                    continue
+                where = f"on the N={row.grid.n_half} grid"
+                if row.accepted + row.rejected >= cfg.max_steps:
+                    raise StepFailureError(f"exceeded max_steps={cfg.max_steps} {where}")
+                row.clipped = row.t + row.h >= targets[row.target]
+                row.h_use = targets[row.target] - row.t if row.clipped else row.h
+                if row.h_use <= 16.0 * math.ulp(1.0) * max(abs(row.t), 1.0):
+                    raise StepFailureError(f"step size underflow at t={row.t:.17g} {where}")
+                row.rhs_calls += 11
+            np.multiply(np.array([row.h_use for row in rows])[:, None, None], _STEP, out=w)
+            for product, f_out in zip(products, k[2:]):
+                np.matmul(*product)
+                sums[0] += y
+                system.rhs_values(sums[0], out=f_out)
+            for product in products[11:]:
+                np.matmul(*product)
+            sums[0] += y
+            norms = np.abs(sums).max(axis=-1).tolist()
+            advanced = False
+            for i, (row, y_new_norm, err5, err3) in enumerate(zip(rows, *norms)):
+                if not row.h_use:
+                    continue
+                _check_state(y_new_norm, system.blow_up_threshold, row.t + row.h_use, row.grid)
+                sc = cfg.abs_tol + cfg.rel_tol * max(row.y_norm, y_new_norm)
+                err5, err3 = err5 / sc, err3 / sc
+                denom = err5 * err5 + 0.01 * err3 * err3
+                enorm = err5 * err5 / math.sqrt(denom) if denom > 0.0 else 0.0
 
-        ti = 0
-        while ti < len(targets):
-            if accepted + rejected >= cfg.max_steps:
-                raise StepFailureError(f"exceeded max_steps={cfg.max_steps}")
-            target = targets[ti]
-            clipped = t + h >= target
-            h_use = target - t if clipped else h
-            if h_use <= 16.0 * np.finfo(float).eps * max(abs(t), 1.0):
-                raise StepFailureError(f"step size underflow at t={t:.17g}")
+                if enorm <= 1.0:
+                    row.accepted += 1
+                    row.t = targets[row.target] if row.clipped else row.t + row.h_use
+                    y[i], row.y_norm = sums[0, i], y_new_norm
+                    if row.clipped:
+                        row.times.append(row.t)
+                        row.states.append(SampledSequence(row.grid, y[i, :row.grid.node_count]))
+                        row.target += 1
+                        if row.target == len(targets):
+                            continue  # nothing reads f at the final state
+                    # E5 and E3 weigh f(y_new) 0, so a rejected state skips it
+                    row.rhs_calls += 1
+                    advanced = True
+                    if row.clipped:
+                        continue  # the clip carries no error information; keep h
+                else:
+                    row.rejected += 1
+                # a rejection's factor is below 0.9, so the clamp to 5 keeps it
+                row.h = row.h_use * (_MAX_FACTOR if enorm == 0.0 else min(
+                    _MAX_FACTOR,
+                    max(_MIN_FACTOR, _SAFETY * enorm ** (-1.0 / (_ERROR_ORDER + 1)))))
+            if advanced:  # rows that stayed put get the same f(y) again
+                system.rhs_values(y, out=k[1])
 
-            for i in range(1, 12):
-                np.dot(h_use * _A[i], k[:i], out=stage)
-                stage += y
-                k[i] = f(stage)
-            for weights, row in zip(h_use * _BE, sums):
-                np.dot(weights, k, out=row)
-            y_new = y + sums[0]
-            y_new_norm = float(np.max(np.abs(y_new)))
-            _check_state(y_new_norm, threshold, t + h_use)
-            sc = cfg.abs_tol + cfg.rel_tol * max(y_norm, y_new_norm)
-            err5 = float(np.max(np.abs(sums[1]))) / sc
-            err3 = float(np.max(np.abs(sums[2]))) / sc
-            denom = err5 * err5 + 0.01 * err3 * err3
-            enorm = err5 * err5 / math.sqrt(denom) if denom > 0.0 else 0.0
-
-            if enorm <= 1.0:
-                accepted += 1
-                t = target if clipped else t + h_use
-                y, y_norm = y_new, y_new_norm
-                if clipped:
-                    times.append(t)
-                    states.append(SampledSequence(system.grid, y))
-                    ti += 1
-                    if ti == len(targets):
-                        break  # nothing reads f at the final state
-                k[0] = f(y)  # E5 and E3 weigh it 0, so a rejected state skips it
-                if clipped:
-                    continue  # the clip carries no error information; keep h
-            else:
-                rejected += 1
-            # a rejection's factor is below 0.9, so the clamp to 5 keeps it
-            h = h_use * (_MAX_FACTOR if enorm == 0.0 else min(
-                _MAX_FACTOR,
-                max(_MIN_FACTOR, _SAFETY * enorm ** (-1.0 / (_ERROR_ORDER + 1)))))
-
-    return Trajectory(tuple(times), tuple(states), accepted, rejected, rhs_calls)
+    trajectories = TrajectoryStack(Trajectory(tuple(row.times), tuple(row.states), row.accepted,
+                                              row.rejected, row.rhs_calls) for row in rows)
+    return trajectories[0] if isinstance(initial, SampledSequence) else trajectories

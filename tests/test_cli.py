@@ -328,9 +328,20 @@ class TestValidation:
             "kernel.txt", "."))),
         "nan-initial_width": ("simulate", dict(
             kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION + "\ninitial_width = nan")),
+        # non-finite profile keys would integrate a NaN, zero or constant state
+        "nan-initial_amplitude": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL,
+            equation=CUSTOM_EQUATION + "\ninitial_amplitude = nan")),
+        "inf-initial_center": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION + "\ninitial_center = inf")),
+        "inf-initial_width": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION + "\ninitial_width = inf")),
     }
     # cases whose refusal must name the offending key
-    MESSAGES = {"nan-initial_width": "width"}
+    MESSAGES = {"nan-initial_width": "width",
+                "nan-initial_amplitude": "initial_amplitude",
+                "inf-initial_center": "initial_center",
+                "inf-initial_width": "initial_width"}
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_rejected_before_any_output(self, tmp_path, capsys, case):

@@ -1,12 +1,12 @@
 """Error metrics, rate fitting and the study drivers on small fast runs."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from nlwave import (
-    DegenerateRateError,
     ErrorRecord,
     Grid,
     IntegratorConfig,
@@ -17,6 +17,7 @@ from nlwave import (
     evaluate_solitary,
     fit_observed_order,
     initial_data,
+    integrate,
     linf_error,
     plateau_onset,
     run_h_refinement,
@@ -24,8 +25,12 @@ from nlwave import (
     run_truncation_study,
     tabulated_kernel,
 )
-from nlwave.experiments import TruncationRecord
+from nlwave import experiments
+from nlwave.config import load_run_config
+from nlwave.experiments import TruncationRecord, run_single
 from nlwave.problems import bbm_problem, rosenau_problem
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def record(h, err, n=10, t=1.0):
@@ -72,7 +77,7 @@ class TestConvergenceRate:
         assert r == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_error_is_degenerate(self):
-        with pytest.raises(DegenerateRateError):
+        with pytest.raises(ValueError, match="zero error"):
             convergence_rate(record(0.2, 0.0), record(0.1, 1e-3))
 
     def test_equal_h_rejected(self):
@@ -200,6 +205,34 @@ class TestTruncationStudy:
         assert plateau_onset(records) == 240
         falling = [trec(200, 1e-1), trec(220, 1e-2), trec(240, 1e-3)]
         assert plateau_onset(falling) is None
+
+
+@pytest.mark.parametrize("name", ["bbm_truncation", "rosenau_truncation"])
+def test_shipped_truncation_rows_match_their_own_runs(monkeypatch, name):
+    # the sweep integrates its grids as rows of one stack; each row takes the
+    # steps of its own run_single (bbm: 90 steps at N = 200, 93 elsewhere)
+    cfg = load_run_config(os.path.join(CONFIG_DIR, name + ".ini"))
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(experiments, "integrate", spy)
+    records = run_truncation_study(cfg, cfg.n_list)
+    (stack,) = runs
+    assert len(stack) == len(records) == len(cfg.n_list)
+    for traj, rec, n in zip(stack, records, cfg.n_list):
+        own, own_rec = run_single(cfg, cfg.grid(n_half=n))
+        for key in ("accepted_steps", "rejected_steps", "rhs_calls"):
+            assert getattr(traj, key) == getattr(own, key) == getattr(rec.record, key)
+        assert rec.record.linf_error == pytest.approx(own_rec.linf_error, rel=1e-10)
+        assert traj.times == own.times
+        assert [s.grid for s in traj.states] == [s.grid for s in own.states]
+        scale = np.max(np.abs(own.final.values))
+        assert np.max(np.abs(traj.final.values - own.final.values)) <= 1e-10 * scale
+    if name == "bbm_truncation":
+        assert [t.accepted_steps for t in stack] == [90] + [93] * 10
 
 
 class TestRosenauShortRun:

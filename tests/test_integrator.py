@@ -25,7 +25,7 @@ from nlwave import (
     rosenau_problem,
     tabulated_kernel,
 )
-from nlwave.integrator import _A, _B, _E3, _E5
+from nlwave.integrator import _A, _B, _E3, _E5, TrajectoryStack
 
 
 def decay_stub(n_half=1, h=1.0, rate=1.0):
@@ -96,6 +96,17 @@ def cubic_overflow():
     return system, SampledSequence(g, [0.0, 1e200, 0.0])
 
 
+def f_y0_infinite():
+    # a finite state whose f(y0) is +inf at every node, with no NaN: it must
+    # be refused before the first-step heuristic divides by its norm
+    g = Grid(h=1.0, n_half=1)
+    stencil = np.zeros(5)
+    stencil[2] = -1e300
+    system = TruncatedSystem(grid=g, stencil=stencil, blow_up_threshold=1e10,
+                             nonlinearity=Nonlinearity(((1, 1.0),)))
+    return system, SampledSequence(g, [1e9, 1e9, 1e9])
+
+
 # each input with the rule it must trip: the threshold or non-finiteness
 BLOW_UP_CASES = {
     "growth": (growth_stub, "threshold"),
@@ -103,6 +114,7 @@ BLOW_UP_CASES = {
     "f_overflow": (f_overflow, "non-finite"),
     "fft_convolution_overflow": (fft_convolution_overflow, "non-finite"),
     "cubic_overflow": (cubic_overflow, "non-finite"),
+    "f_y0_infinite": (f_y0_infinite, "non-finite"),
 }
 
 
@@ -348,3 +360,65 @@ class TestRhsCount:
         system = decay_stub()
         traj = integrate(system, SampledSequence(system.grid, np.ones(3)), 0.0)
         assert traj.rhs_calls == 0
+
+
+def node_stub(n_half, rate, nonlinearity, rows=(), threshold=1e6):
+    """Stub system decoupling every node into u' = -rate * f(u)."""
+    g = Grid(h=1.0, n_half=n_half)
+    stencil = np.zeros(4 * n_half + 1)
+    stencil[2 * n_half] = rate
+    return TruncatedSystem(grid=g, stencil=stencil, nonlinearity=nonlinearity,
+                           blow_up_threshold=threshold, rows=rows)
+
+
+class TestStack:
+    """Rows of a stacked system run in lockstep, each as its own run would."""
+
+    # u' = -(u + u^3): from 0.1 and 0.5 the controller rejects no step, from
+    # 2.0 it rejects one
+    CUBIC = Nonlinearity(((1, 1.0), (3, 1.0)))
+
+    def test_rows_match_their_own_runs(self):
+        rows, amplitudes = (1, 3, 2), (0.1, 2.0, 0.5)
+        stack = integrate(node_stub(3, 1.0, self.CUBIC, rows),
+                          [SampledSequence(Grid(1.0, n), np.full(2 * n + 1, a))
+                           for n, a in zip(rows, amplitudes)],
+                          1.0, snapshots=[0.5])
+        assert isinstance(stack, TrajectoryStack) and len(stack) == 3
+        counts = set()
+        for traj, n, a in zip(stack, rows, amplitudes):
+            system = node_stub(n, 1.0, self.CUBIC)
+            own = integrate(system, SampledSequence(system.grid,
+                                                    np.full(2 * n + 1, a)),
+                            1.0, snapshots=[0.5])
+            assert (traj.accepted_steps, traj.rejected_steps, traj.rhs_calls) == (
+                own.accepted_steps, own.rejected_steps, own.rhs_calls)
+            assert traj.rhs_calls == (
+                12 * traj.accepted_steps + 11 * traj.rejected_steps + 1)
+            assert traj.times == own.times == (0.0, 0.5, 1.0)
+            for state, own_state in zip(traj.states, own.states):
+                assert state.grid == Grid(1.0, n)
+                np.testing.assert_allclose(state.values, own_state.values,
+                                           rtol=1e-12, atol=0)
+            counts.add((traj.accepted_steps, traj.rejected_steps > 0))
+        # the rows finish at different step counts, and only some reject
+        assert len({acc for acc, _ in counts}) == 3
+        assert {rejects for _, rejects in counts} == {False, True}
+        assert stack.accepted_steps == sum(t.accepted_steps for t in stack)
+        assert stack.rejected_steps == sum(t.rejected_steps for t in stack)
+
+    def test_blow_up_in_one_row_names_its_grid(self):
+        # u' = +u^2 from 3 passes 1e3 before t = 2, from 0.1 it does not
+        system = node_stub(2, -1.0, Nonlinearity(((2, 1.0),)), rows=(1, 2),
+                           threshold=1e3)
+        init = [SampledSequence(Grid(1.0, 1), np.full(3, 0.1)),
+                SampledSequence(Grid(1.0, 2), np.full(5, 3.0))]
+        with pytest.raises(BlowUpError, match="threshold .* on the N=2 grid"):
+            integrate(system, init, 2.0)
+
+    def test_row_grids_must_match_the_rows(self):
+        system = node_stub(2, 1.0, self.CUBIC, rows=(1, 2))
+        with pytest.raises(ValueError, match="grid"):
+            integrate(system, [SampledSequence(Grid(1.0, 2), np.ones(5))] * 2, 1.0)
+        with pytest.raises(ValueError):
+            node_stub(2, 1.0, self.CUBIC, rows=(1, 3))

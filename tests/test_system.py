@@ -287,6 +287,28 @@ class TestRhs:
             v = rng.uniform(-1.0, 1.0, g.node_count)
             assert np.max(np.abs(fast.rhs_values(v) - direct.rhs_values(v))) < 1e-12
 
+    @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()],
+                             ids=["bbm", "rosenau"])
+    @pytest.mark.parametrize("fast_mode", ["auto", "on", "off"])
+    def test_stacked_rows_match_their_own_grids(self, kernel, fast_mode):
+        # left-aligned rows zero-padded to the widest grid: each row's output
+        # is its own grid's, and the padding's is exactly 0 on every path
+        rows, f = (20, 48, 33), Nonlinearity.bbm(1)
+        stack = build_system(kernel, Grid(h=0.25, n_half=48), f,
+                             fast_mode=fast_mode, rows=rows)
+        rng = np.random.default_rng(11)
+        v = np.zeros((3, 97))
+        for i, n in enumerate(rows):
+            v[i, :2 * n + 1] = rng.uniform(-1.0, 1.0, 2 * n + 1)
+        out = stack.rhs_values(v)
+        for i, n in enumerate(rows):
+            own = build_system(kernel, Grid(h=0.25, n_half=n), f,
+                               fast_mode=fast_mode).rhs_values(v[i, :2 * n + 1])
+            assert np.max(np.abs(out[i, :2 * n + 1] - own)) < 1e-12
+            assert not np.any(out[i, 2 * n + 1:])
+        with pytest.raises(ValueError):
+            stack.rhs_values(v[:2])
+
     @pytest.mark.parametrize("fast_mode", ["on", "off"])
     def test_wrong_state_length_rejected(self, fast_mode):
         # both convolution paths would otherwise return a wrong-length answer
