@@ -4,7 +4,7 @@ The studies mirror the standard solitary-wave benchmark set: a profile
 comparison at one resolution, an h-refinement sweep at fixed domain, and a
 domain-truncation sweep at fixed mesh size.  The h-refinement sweep runs its
 grids one after another; the truncation sweep steps its grids in lockstep as
-rows of one system, each with its own step-size controller and counts.
+one stack, each with its own step-size controller and counts.
 """
 
 import dataclasses
@@ -153,7 +153,7 @@ def run_single(cfg: StudyConfig, grid: Grid):
 
 
 def _run_rows(cfg: StudyConfig, grids: list[Grid]):
-    # grids of one h, N increasing, as rows of one system; (trajectory, record)s
+    # grids of one h, N increasing, as one stack on the widest; (trajectory, record)s
     problem = cfg.problem
     if problem.wave is not None:
         inits = [initial_data(problem.wave, grid) for grid in grids]
@@ -167,7 +167,6 @@ def _run_rows(cfg: StudyConfig, grids: list[Grid]):
         problem.nonlinearity,
         blow_up_threshold=cfg.blow_up_threshold,
         fast_mode=cfg.fast_mode,
-        rows=tuple(grid.n_half for grid in grids),
     )
     start = time.perf_counter()
     trajs = integrate(system, inits, cfg.t_end, cfg.snapshot_times, cfg.integrator)
@@ -283,8 +282,8 @@ def run_truncation_study(cfg: StudyConfig, n_values) -> list[TruncationRecord]:
     The domain ``[-N h, N h]`` grows with N; the boundary band (outermost
     ``BAND_FRACTION`` of nodes on each side) yields the diagnostics
     ``delta`` (band amplitude over all snapshots) and ``eps_delta``
-    (max |f| over ``[-delta, delta]``).  The grids run as the rows of one
-    system on the widest grid, whose path each record names.
+    (max |f| over ``[-delta, delta]``).  The grids run as one stack on a
+    system of the widest grid, whose path each record names.
     """
     grids = cfg.sweep_grids(n_values=n_values)
     if cfg.problem.wave is None:

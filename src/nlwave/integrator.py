@@ -13,20 +13,24 @@ and combine to ``err5^2 / sqrt(err5^2 + 0.01 err3^2)``; a step is accepted
 when that is at most 1 and rescaled with safety factor 0.9 and ratio clamp
 [0.2, 5].  Snapshots are delivered by clipping steps exactly onto the
 requested times, which keeps trajectories bit-reproducible for identical
-inputs.  The blow-up rule is checked here, on the ``|state|_inf`` the error
-scale computes anyway.  One loop runs every run, a single grid as a stack
-of one row: a stack's rows step in lockstep, one right-hand side per stage
-for all, each with its own clock, step size, snapshots, accept/reject
-decision and counts (Hairer, Norsett and Wanner, Sec. II.4).
+inputs; a step ending short of one by at most the underflow bound is
+lengthened onto it, and requested times closer than that bound are refused.
+The blow-up rule is checked here, on the ``|state|_inf`` the error scale
+computes anyway.  A stack is a list of states of the system's h, none wider
+than its grid; this module alone pads them into left-aligned rows and zeroes
+every right-hand side there.  One loop runs every run, a single state as a
+stack of one: the rows step in lockstep, one right-hand side per stage for
+all, each with its own clock, step size, snapshots, accept/reject decision
+and counts (Hairer, Norsett and Wanner, Sec. II.4).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .discrete import Grid, SampledSequence
+from .discrete import SampledSequence
 from .system import BlowUpError, TruncatedSystem
 
 __all__ = [
@@ -139,6 +143,11 @@ def _initial_steps(f, y0, f0, probe, rows, t_max, cfg):
         row.h = min(100.0 * row.h, h1, t_max)
 
 
+def _underflow_bound(t):
+    # steps this short are refused: the clock cannot resolve them at t
+    return 16.0 * math.ulp(1.0) * max(abs(t), 1.0)
+
+
 def _check_state(norm, threshold, t, grid):
     # isfinite first: NaN fails it, and inf is caught even at threshold inf
     if not math.isfinite(norm):
@@ -157,11 +166,14 @@ def _normalize_snapshots(t_end, snapshots):
         raise ValueError("snapshot times must lie in [0, t_end]")
     if sorted(snaps) != snaps:
         raise ValueError("snapshot times must be sorted")
-    return sorted({0.0, *snaps, t_end})  # both ends kept, duplicates dropped
+    times = sorted({0.0, *snaps, t_end})  # both ends kept, duplicates dropped
+    if any(b - a <= _underflow_bound(b) for a, b in zip(times, times[1:])):
+        raise ValueError("0, snapshots and t_end must be 16 ulp(1) max(|t|, 1) apart")
+    return times
 
 
 class TrajectoryStack(tuple):
-    """The rows' trajectories of a stacked system; step counts sum over rows."""
+    """The trajectories of a stack of states; step counts sum over them."""
     accepted_steps = property(lambda self: sum(t.accepted_steps for t in self))
     rejected_steps = property(lambda self: sum(t.rejected_steps for t in self))
 
@@ -176,7 +188,7 @@ def integrate(
     """Integrate the system from t=0 and record the snapshot states.
 
     Times 0 and ``t_end`` are always recorded, besides ``snapshots``.  Given
-    a sequence of states, one per row of a system built with ``rows``, returns
+    a sequence of states of the system's h, none wider than its grid, returns
     their ``TrajectoryStack``.  Raises ``BlowUpError``, naming the grid, when
     the initial state or an attempted step's state has a sup-norm above
     ``system.blow_up_threshold`` or a non-finite value, or f(y0) is
@@ -185,14 +197,21 @@ def integrate(
     controller underflows the step or runs out of its step budget.
     """
     states = (initial,) if isinstance(initial, SampledSequence) else tuple(initial)
-    if not system.rows:  # a single grid runs as a stack of one row
-        system = replace(system, rows=(system.grid.n_half,))
-    if [s.grid for s in states] != [Grid(system.grid.h, n) for n in system.rows]:
+    if not states or any(s.grid.h != system.grid.h or s.grid.n_half > system.grid.n_half
+                         for s in states):
         raise ValueError("initial state grid does not match the system grid")
     cfg = config or IntegratorConfig()
     targets = [s for s in _normalize_snapshots(t_end, snapshots) if s > 0.0]
     k = np.zeros((13, len(states), system.grid.node_count))  # y, 12 stages; padding 0
     y, rows = k[0], []
+    padding = np.arange(y.shape[1]) >= np.array([[s.grid.node_count] for s in states])
+    padded = padding.any()  # once per run, not per right-hand side
+
+    def rhs(v, out):
+        system.rhs_values(v, out=out)
+        if padded:  # the tail path's left prefix sums leak into the padding
+            np.copyto(out, 0.0, where=padding)
+
     for i, state in enumerate(states):
         y[i, :state.values.size] = state.values
         rows.append(SimpleNamespace(grid=state.grid, t=0.0, target=0, accepted=0,
@@ -203,8 +222,8 @@ def integrate(
     # overflow ends in BlowUpError, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         if targets:
-            system.rhs_values(y, out=k[1])
-            _initial_steps(system.rhs_values, y, k[1], k[2], rows, targets[-1], cfg)
+            rhs(y, k[1])
+            _initial_steps(rhs, y, k[1], k[2], rows, targets[-1], cfg)
         w = np.empty((len(rows), 14, 12))  # _STEP times each row's h
         sums = np.empty((3, *y.shape))  # a stage input, then the new state; err5; err3
         # product i: row i of each row's weights times that row's stages
@@ -218,16 +237,17 @@ def integrate(
                 where = f"on the N={row.grid.n_half} grid"
                 if row.accepted + row.rejected >= cfg.max_steps:
                     raise StepFailureError(f"exceeded max_steps={cfg.max_steps} {where}")
-                row.clipped = row.t + row.h >= targets[row.target]
-                row.h_use = targets[row.target] - row.t if row.clipped else row.h
-                if row.h_use <= 16.0 * math.ulp(1.0) * max(abs(row.t), 1.0):
+                target = targets[row.target]  # a sliver short of it is no steppable gap
+                row.clipped = target - (row.t + row.h) <= _underflow_bound(target)
+                row.h_use = target - row.t if row.clipped else row.h
+                if row.h_use <= _underflow_bound(row.t):
                     raise StepFailureError(f"step size underflow at t={row.t:.17g} {where}")
                 row.rhs_calls += 11
             np.multiply(np.array([row.h_use for row in rows])[:, None, None], _STEP, out=w)
             for product, f_out in zip(products, k[2:]):
                 np.matmul(*product)
                 sums[0] += y
-                system.rhs_values(sums[0], out=f_out)
+                rhs(sums[0], f_out)
             for product in products[11:]:
                 np.matmul(*product)
             sums[0] += y
@@ -255,8 +275,8 @@ def integrate(
                     # E5 and E3 weigh f(y_new) 0, so a rejected state skips it
                     row.rhs_calls += 1
                     advanced = True
-                    if row.clipped:
-                        continue  # the clip carries no error information; keep h
+                    if row.clipped and row.h_use <= row.h:
+                        continue  # a shortened step carries no error information; keep h
                 else:
                     row.rejected += 1
                 # a rejection's factor is below 0.9, so the clamp to 5 keeps it
@@ -264,7 +284,7 @@ def integrate(
                     _MAX_FACTOR,
                     max(_MIN_FACTOR, _SAFETY * enorm ** (-1.0 / (_ERROR_ORDER + 1)))))
             if advanced:  # rows that stayed put get the same f(y) again
-                system.rhs_values(y, out=k[1])
+                rhs(y, k[1])
 
     trajectories = TrajectoryStack(Trajectory(tuple(row.times), tuple(row.states), row.accepted,
                                               row.rejected, row.rhs_calls) for row in rows)

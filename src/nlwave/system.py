@@ -21,9 +21,9 @@ entries outside the window ``2N..4N`` that the right-hand side reads.  The
 tail weights, the cycle length and the stencil's transform are fixed when
 the system is built.  ``f`` is evaluated by Horner's rule.  The right-hand
 side checks only the state's shape: blow-up is a property of the
-trajectory, so ``integrate`` owns that rule.  A system built with ``rows``
-takes grids of one h as left-aligned, zero-padded rows; the left prefix sums
-leak into the padding, so the padded outputs are set to 0.
+trajectory, so ``integrate`` owns that rule.  It maps one state or a stack
+of states of the grid's width; a stack of narrower grids is a list of
+states, which ``integrate`` alone pads into rows and zeroes the padding of.
 """
 
 import math
@@ -134,8 +134,7 @@ class TruncatedSystem:
     ``N >= FAST_CONV_MIN_N`` upward and the direct path below; ``"on"`` and
     ``"off"`` force the FFT/direct path.  ``convolution`` names the path
     that runs (``"direct"``, ``"fft"`` or ``"tail"``); ``fft_length`` is the
-    FFT path's cycle length, ``None`` on the others.  A stacked system's
-    ``rows`` hold its grids' ``n <= N``, and its states are ``(rows, 2N+1)``.
+    FFT path's cycle length, ``None`` on the others.
     """
 
     grid: Grid
@@ -144,12 +143,10 @@ class TruncatedSystem:
     blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD
     fast_mode: str = "auto"
     tail: tuple[complex, complex] | None = None
-    rows: tuple[int, ...] = ()
     convolution: str = field(init=False)
     fft_length: int | None = field(init=False)
     _stencil_fft: np.ndarray | None = field(init=False, repr=False)
     _tail_weights: tuple | None = field(init=False, repr=False, default=None)
-    _padding: np.ndarray | None = field(init=False, repr=False)  # past a row's 2n+1 nodes
 
     def __post_init__(self):
         stencil = np.array(self.stencil, dtype=float, copy=True)
@@ -162,11 +159,6 @@ class TruncatedSystem:
             raise ValueError("blow-up threshold must be positive")
         if self.fast_mode not in ("auto", "on", "off"):
             raise ValueError("fast_mode must be 'auto', 'on' or 'off'")
-        if not all(1 <= row <= n for row in self.rows):
-            raise ValueError(f"stacked rows need half-widths in [1, {n}]")
-        padding = np.arange(2 * n + 1) > 2 * np.array(self.rows, int)[:, None]
-        object.__setattr__(self, "_padding", padding if padding.any() else None)
-        lead = (2, 1) if self.rows else (2,)  # the weights broadcast over rows
         auto_fft = self.fast_mode == "auto" and n >= FAST_CONV_MIN_N
         path = "fft" if auto_fft or self.fast_mode == "on" else "direct"
         if self.tail is not None and self.fast_mode == "auto":
@@ -179,9 +171,9 @@ class TruncatedSystem:
             if abs(powers[-1]) > 1e-200:
                 path = "tail"
                 inverse = 1.0 / powers
-                object.__setattr__(self, "_tail_weights", (
-                    np.stack((inverse, powers)).reshape(*lead, -1),
-                    -h * c * np.stack((powers, inverse)).reshape(*lead, -1)))
+                object.__setattr__(self, "_tail_weights", (  # broadcast over states
+                    np.stack((inverse, powers))[:, None],
+                    -h * c * np.stack((powers, inverse))[:, None]))
         nfft = _fft_length(n) if path == "fft" else None
         object.__setattr__(self, "stencil", stencil)
         object.__setattr__(self, "convolution", path)
@@ -194,27 +186,26 @@ class TruncatedSystem:
         return self.fft_length is not None
 
     def rhs_values(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``f(v)``, then the convolution, into ``out`` if given; unguarded but for v's shape."""
+        """``f(v)``, then the convolution, of a state or a stack of them, into ``out`` if given."""
         n, h = self.grid.n_half, self.grid.h
-        if v.shape != ((len(self.rows), 2 * n + 1) if self.rows else (2 * n + 1,)):
+        if v.ndim not in (1, 2) or v.shape[-1] != 2 * n + 1:
             raise ValueError(f"state shape {v.shape} does not match the grid")
-        g, nfft = self.nonlinearity.evaluate_values(v, out), self.fft_length
+        out, nfft = self.nonlinearity.evaluate_values(v, out), self.fft_length
+        g = out.reshape(-1, 2 * n + 1)  # a view: one row per state
         if self._tail_weights is not None:
             # sums[0] adds w^-j g_j from the left, sums[1] w^j g_j from the
             # right; rescaled, they are -h c (L_i + g_i) and -h c (R_i + g_i)
             w_in, w_out = self._tail_weights
             sums = g * w_in
             np.add.accumulate(sums[0], axis=-1, out=sums[0])
-            np.add.accumulate(sums[1, ..., ::-1], axis=-1, out=sums[1, ..., ::-1])
+            np.add.accumulate(sums[1, :, ::-1], axis=-1, out=sums[1, :, ::-1])
             sums *= w_out
-            out = np.subtract(sums[0].real, sums[1].real, out=out)
+            np.subtract(sums[0].real, sums[1].real, out=g)
         elif nfft is None:
-            out = convolve_rhs_direct(self.stencil, g, h, out)
+            convolve_rhs_direct(self.stencil, g, h, g)
         else:
             conv = np.fft.irfft(np.fft.rfft(g, nfft) * self._stencil_fft, nfft)
-            out = np.multiply(conv[..., 2 * n : 4 * n + 1], -h, out=out)
-        if self._padding is not None:
-            np.copyto(out, 0.0, where=self._padding)
+            np.multiply(conv[:, 2 * n : 4 * n + 1], -h, out=g)
         return out
 
 
@@ -237,7 +228,7 @@ def _fft_length(n_half: int) -> int:
 
 
 def convolve_rhs_direct(stencil: np.ndarray, g: np.ndarray, h: float, out=None) -> np.ndarray:
-    """Direct ``out_i = -sum_j h stencil_{i-j} g_j`` for ``-N <= i, j <= N``, per row.
+    """Direct ``out_i = -sum_j h stencil_{i-j} g_j`` for ``-N <= i, j <= N``, per state.
 
     'valid' mode of the (4N+1) x (2N+1) linear convolution is exactly this
     lag window.
@@ -252,14 +243,13 @@ def build_system(
     nonlinearity: Nonlinearity,
     blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD,
     fast_mode: str = "auto",
-    rows: tuple[int, ...] = (),
 ) -> TruncatedSystem:
     """Sample the kernel's central differences and assemble the system.
 
     ``stencil_k = (beta((k+1)h) - beta((k-1)h)) / 2h`` for lags ``-2N..2N``,
     from one evaluation of ``beta`` on the nodes ``-(2N+1)h..(2N+1)h``.
     The kernel's tail, from which a tail kernel's values are derived, goes
-    to the system, and ``rows`` stacks grids of half-width at most N.
+    to the system.
     """
     h, n = grid.h, grid.n_half
     nodes = np.arange(-2 * n - 1, 2 * n + 2) * h
@@ -274,7 +264,6 @@ def build_system(
         blow_up_threshold=blow_up_threshold,
         fast_mode=fast_mode,
         tail=kernel.tail,
-        rows=rows,
     )
 
 

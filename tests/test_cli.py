@@ -290,6 +290,10 @@ class TestValidation:
         "unsorted-snapshots": ("simulate", dict(snapshots="0, 1, 0.5")),
         "out-of-range-snapshots": ("simulate", dict(snapshots="0, 2")),
         "nan-snapshot": ("simulate", dict(snapshots="0, nan, 1")),
+        # closer than 16 ulp(1) max(|t|, 1), no step could reach them
+        "adjacent-snapshots": ("simulate", dict(t_end=6.0,
+                                                snapshots="0, 5, 5.000000000000001")),
+        "t_end-within-ulps-of-0": ("simulate", dict(t_end=1e-15)),
         "increasing-h_list": ("converge", dict(h_list="0.25, 0.5")),
         "zero-in-h_list": ("converge", dict(h_list="0.5, 0")),
         "decreasing-n_list": ("truncation", dict(n_list="48, 32")),
@@ -615,20 +619,32 @@ class TestShippedConfigs:
         assert summary["holds_at_all_snapshots"] is False
         assert summary["holds_where_exact_has_headroom"] is True
 
-    def test_setup_probe_builds_every_bbm_sweep_system(self):
+    # each benchmark workload's calls (perfbench/workloads.py) and the number
+    # of systems they build
+    WORKLOAD_CALLS = {
+        "sweep-bbm": ((("truncation", "bbm_truncation.ini"),
+                       ("converge", "bbm_convergence.ini")), 15),
+        "sweep-rosenau": ((("truncation", "rosenau_truncation.ini"),
+                           ("converge", "rosenau_convergence.ini")), 12),
+        "profiles": ((("simulate", "bbm_profile.ini"), ("simulate", "rosenau_profile.ini"),
+                      ("decay", "bbm_decay.ini"), ("decay", "rosenau_decay.ini")), 4),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_CALLS))
+    def test_setup_probe_builds_every_workload_system(self, workload):
         # the benchmark times set-up with this script; it must keep working
-        # against the current configuration layer
+        # against the current configuration layer and build_system
+        calls, systems = self.WORKLOAD_CALLS[workload]
         root = os.path.join(os.path.dirname(__file__), "..")
         proc = subprocess.run(
             [sys.executable, os.path.join(root, "perfbench", "setup_probe.py"),
-             os.path.join(root, "src"),
-             "converge:" + os.path.join(CONFIG_DIR, "bbm_convergence.ini"),
-             "truncation:" + os.path.join(CONFIG_DIR, "bbm_truncation.ini")],
+             os.path.join(root, "src")]
+            + [f"{command}:{os.path.join(CONFIG_DIR, ini)}" for command, ini in calls],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["systems"] == 15
+        assert json.loads(proc.stdout)["systems"] == systems
 
     def test_tracer_finds_every_hook_point(self):
         # the benchmark's per-layer figures come from these hooks; one whose

@@ -1,6 +1,7 @@
 """Adaptive DOP853 integration against independent oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from nlwave import (
     rosenau_problem,
     tabulated_kernel,
 )
-from nlwave.integrator import _A, _B, _E3, _E5, TrajectoryStack
+from nlwave.integrator import _A, _B, _E3, _E5, TrajectoryStack, _initial_steps
 
 
 def decay_stub(n_half=1, h=1.0, rate=1.0):
@@ -242,11 +243,29 @@ class TestBasicContracts:
         with pytest.raises(ValueError):
             integrate(system, init, math.nan)
 
+    @pytest.mark.parametrize("t_end, snapshots", [
+        (6.0, (5.0, math.nextafter(5.0, math.inf))),
+        (1.0, (math.nextafter(1.0, 0.0),)),
+        (1.0, (1e-15,)),
+        (1e-15, ()),
+    ], ids=["adjacent-snapshots", "snapshot-at-t_end", "snapshot-at-0", "t_end-at-0"])
+    def test_requested_times_closer_than_the_underflow_bound_rejected(self, t_end,
+                                                                      snapshots):
+        # no step can be that short, so 0, the snapshots and t_end must be
+        # further apart than 16 ulp(1) max(|t|, 1); equal times merge
+        system = decay_stub()
+        init = SampledSequence(system.grid, np.ones(3))
+        with pytest.raises(ValueError, match="apart"):
+            integrate(system, init, t_end, snapshots=snapshots)
+        assert integrate(system, init, 1.0, snapshots=[0.0, 1.0]).times == (0.0, 1.0)
+
     def test_grid_mismatch_rejected(self):
+        # a state may be narrower than the system's grid, not wider or of
+        # another h
         system = decay_stub(n_half=2)
-        init = SampledSequence(Grid(h=1.0, n_half=1), np.ones(3))
-        with pytest.raises(ValueError):
-            integrate(system, init, 1.0)
+        for grid in (Grid(h=1.0, n_half=3), Grid(h=0.5, n_half=2)):
+            with pytest.raises(ValueError):
+                integrate(system, SampledSequence(grid, np.ones(grid.node_count)), 1.0)
 
     def test_exponential_decay_stub(self):
         # every node obeys u' = -u, so the t=1 state is exp(-1) exactly
@@ -345,6 +364,35 @@ class TestStepControl:
             integrate(system, init, 0.0)
 
 
+def first_step_end(system, init, t_end):
+    """Where integrate's first step from t = 0 ends, by its own heuristic."""
+    def f(v, out=None):  # a stack, state by state
+        return np.stack([system.rhs_values(state) for state in v], out=out)
+
+    y0 = init.values[None]
+    row = SimpleNamespace(grid=init.grid, y_norm=float(np.max(np.abs(y0))))
+    _initial_steps(f, y0, f(y0), np.empty_like(y0), [row], t_end, IntegratorConfig())
+    return row.h
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 4, 8])
+def test_step_ending_a_sliver_short_of_a_snapshot_is_lengthened_onto_it(ulps):
+    # a snapshot a few ulps past the first step's end: stepping there and
+    # then across the sliver would underflow, so the step is lengthened onto
+    # it, and the run takes the steps it takes without that snapshot
+    kernel, f, init, t_end = solitary_run(bbm_problem(), 0.25, 120, 20.0)
+    system = build_system(kernel, init.grid, f)
+    snap = first_step_end(system, init, t_end)
+    for _ in range(ulps):
+        snap = math.nextafter(snap, math.inf)
+    traj = integrate(system, init, t_end, snapshots=[snap, 10.0])
+    own = integrate(system, init, t_end, snapshots=[10.0])
+    assert traj.times == (0.0, snap, 10.0, 20.0)
+    assert (traj.accepted_steps, traj.rejected_steps) == (own.accepted_steps, 0)
+    scale = np.max(np.abs(own.final.values))
+    assert np.max(np.abs(traj.final.values - own.final.values)) <= 1e-12 * scale
+
+
 class TestRhsCount:
     def test_twelve_per_accepted_step_eleven_per_rejection(self):
         # on u' = -50 u the controller overshoots and rejects steps; the +1
@@ -362,17 +410,17 @@ class TestRhsCount:
         assert traj.rhs_calls == 0
 
 
-def node_stub(n_half, rate, nonlinearity, rows=(), threshold=1e6):
+def node_stub(n_half, rate, nonlinearity, threshold=1e6):
     """Stub system decoupling every node into u' = -rate * f(u)."""
     g = Grid(h=1.0, n_half=n_half)
     stencil = np.zeros(4 * n_half + 1)
     stencil[2 * n_half] = rate
     return TruncatedSystem(grid=g, stencil=stencil, nonlinearity=nonlinearity,
-                           blow_up_threshold=threshold, rows=rows)
+                           blow_up_threshold=threshold)
 
 
 class TestStack:
-    """Rows of a stacked system run in lockstep, each as its own run would."""
+    """A stack of states runs in lockstep, each row as its own run would."""
 
     # u' = -(u + u^3): from 0.1 and 0.5 the controller rejects no step, from
     # 2.0 it rejects one
@@ -380,7 +428,7 @@ class TestStack:
 
     def test_rows_match_their_own_runs(self):
         rows, amplitudes = (1, 3, 2), (0.1, 2.0, 0.5)
-        stack = integrate(node_stub(3, 1.0, self.CUBIC, rows),
+        stack = integrate(node_stub(3, 1.0, self.CUBIC),
                           [SampledSequence(Grid(1.0, n), np.full(2 * n + 1, a))
                            for n, a in zip(rows, amplitudes)],
                           1.0, snapshots=[0.5])
@@ -409,16 +457,17 @@ class TestStack:
 
     def test_blow_up_in_one_row_names_its_grid(self):
         # u' = +u^2 from 3 passes 1e3 before t = 2, from 0.1 it does not
-        system = node_stub(2, -1.0, Nonlinearity(((2, 1.0),)), rows=(1, 2),
-                           threshold=1e3)
+        system = node_stub(2, -1.0, Nonlinearity(((2, 1.0),)), threshold=1e3)
         init = [SampledSequence(Grid(1.0, 1), np.full(3, 0.1)),
                 SampledSequence(Grid(1.0, 2), np.full(5, 3.0))]
         with pytest.raises(BlowUpError, match="threshold .* on the N=2 grid"):
             integrate(system, init, 2.0)
 
-    def test_row_grids_must_match_the_rows(self):
-        system = node_stub(2, 1.0, self.CUBIC, rows=(1, 2))
-        with pytest.raises(ValueError, match="grid"):
-            integrate(system, [SampledSequence(Grid(1.0, 2), np.ones(5))] * 2, 1.0)
-        with pytest.raises(ValueError):
-            node_stub(2, 1.0, self.CUBIC, rows=(1, 3))
+    def test_row_grids_must_fit_the_system(self):
+        # an empty stack, a row of another h and a row wider than the system
+        system = node_stub(2, 1.0, self.CUBIC)
+        narrow = SampledSequence(Grid(1.0, 1), np.ones(3))
+        for stack in ([], [narrow, SampledSequence(Grid(0.5, 1), np.ones(3))],
+                      [narrow, SampledSequence(Grid(1.0, 3), np.ones(7))]):
+            with pytest.raises(ValueError, match="grid"):
+                integrate(system, stack, 1.0)

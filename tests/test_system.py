@@ -291,34 +291,30 @@ class TestRhs:
                              ids=["bbm", "rosenau"])
     @pytest.mark.parametrize("fast_mode", ["auto", "on", "off"])
     def test_stacked_rows_match_their_own_grids(self, kernel, fast_mode):
-        # left-aligned rows zero-padded to the widest grid: each row's output
-        # is its own grid's, and the padding's is exactly 0 on every path
-        rows, f = (20, 48, 33), Nonlinearity.bbm(1)
-        stack = build_system(kernel, Grid(h=0.25, n_half=48), f,
-                             fast_mode=fast_mode, rows=rows)
-        rng = np.random.default_rng(11)
-        v = np.zeros((3, 97))
-        for i, n in enumerate(rows):
-            v[i, :2 * n + 1] = rng.uniform(-1.0, 1.0, 2 * n + 1)
-        out = stack.rhs_values(v)
-        for i, n in enumerate(rows):
-            own = build_system(kernel, Grid(h=0.25, n_half=n), f,
-                               fast_mode=fast_mode).rhs_values(v[i, :2 * n + 1])
-            assert np.max(np.abs(out[i, :2 * n + 1] - own)) < 1e-12
-            assert not np.any(out[i, 2 * n + 1:])
+        # a stack of states of the grid's width: each row's output is its own
+        # state's on every path (padding narrower grids is integrate's job)
+        f = Nonlinearity.bbm(1)
+        system = build_system(kernel, Grid(h=0.25, n_half=48), f, fast_mode=fast_mode)
+        v = np.random.default_rng(11).uniform(-1.0, 1.0, (3, 97))
+        out = system.rhs_values(v)
+        assert out.shape == v.shape
+        for row, state in zip(out, v):
+            assert np.max(np.abs(row - system.rhs_values(state))) < 1e-12
         with pytest.raises(ValueError):
-            stack.rhs_values(v[:2])
+            system.rhs_values(v[:, :-1])
 
     @pytest.mark.parametrize("fast_mode", ["on", "off"])
     def test_wrong_state_length_rejected(self, fast_mode):
-        # both convolution paths would otherwise return a wrong-length answer
+        # both convolution paths would otherwise return a wrong-length answer;
+        # a (1, 2N+1) array is a stack of one state, not a wrong length
         g = Grid(h=0.5, n_half=64)
         system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
                               fast_mode=fast_mode)
-        with pytest.raises(ValueError):
-            system.rhs_values(np.zeros(100))
-        with pytest.raises(ValueError):
-            system.rhs_values(np.zeros((1, g.node_count)))
+        for shape in (100, (1, 100), (1, 1, g.node_count)):
+            with pytest.raises(ValueError):
+                system.rhs_values(np.zeros(shape))
+        v = np.linspace(-1.0, 1.0, g.node_count)
+        np.testing.assert_array_equal(system.rhs_values(v[None])[0], system.rhs_values(v))
 
     def test_linear_scaling_in_f(self):
         g = Grid(h=0.25, n_half=32)
