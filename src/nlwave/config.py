@@ -49,7 +49,7 @@ constant from the t=0 state.
 import configparser
 import inspect
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .analytic import DecayEnvelope
 from .experiments import IntegratorConfig, StudyConfig
 from .kernels import kernel_from_file
 from .problems import Problem, bbm_problem, custom_problem, rosenau_problem
-from .system import Nonlinearity
+from .system import Nonlinearity, build_system
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config"]
 
@@ -190,9 +190,9 @@ def load_run_config(path: str) -> RunConfig:
     """Parse a configuration file and check every value in it.
 
     This function checks the INI format and the section and key names
-    against ``_KEYS`` and ``_EQUATION_KEYS``; each value is checked by the
-    class that owns it (``Grid``, ``StudyConfig``, ``IntegratorConfig``,
-    ``DecayEnvelope``), and their ``ValueError`` becomes a ``ConfigError``.
+    against ``_KEYS`` and ``_EQUATION_KEYS``; each value is checked by the class
+    that owns it (``Grid``, ``StudyConfig``, ``IntegratorConfig``, ``DecayEnvelope``,
+    ``TruncatedSystem`` for h), and their ``ValueError`` becomes a ``ConfigError``.
     """
     parser = configparser.ConfigParser()
     try:
@@ -223,8 +223,9 @@ def load_run_config(path: str) -> RunConfig:
         cfg = _call(RunConfig, problem=problem, integrator=integrator, **fields)
         if cfg.decay_rate is not None:
             DecayEnvelope(rate=cfg.decay_rate)
-        cfg.grid()
-        cfg.sweep_grids(cfg.h_list, cfg.n_list)
+        for grid in {replace(g, n_half=1)  # one 3-node system per h checks it
+                     for g in (cfg.grid(), *cfg.sweep_grids(cfg.h_list, cfg.n_list))}:
+            build_system(problem.kernel, grid, problem.nonlinearity, fast_mode=cfg.fast_mode)
     except ConfigError:
         raise
     except (ValueError, OverflowError, configparser.Error) as exc:

@@ -44,9 +44,9 @@ class Kernel:
         Vectorized point evaluation ``x -> beta(x)``; derived from ``tail``
         when the kernel is built from one.
     tail : (a, lambda) or None
-        Geometric tail with ``Re lambda < 0``: the kernel is
-        ``beta(x) = Re(a e^{lambda |x|})``, which lets ``build_system`` take
-        the O(N) tail path.
+        Geometric tail with ``Re lambda < 0``: the kernel is ``beta(x) =
+        Re(a e^{lambda |x|})``, whose systems take the O(N) tail path at
+        every N and refuse a mesh with ``h |Re lambda| > 8``.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray] | None = None

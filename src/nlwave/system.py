@@ -7,17 +7,18 @@ No derivative of the state ever appears, which is why the time integration
 has no mesh-size stability restriction.
 
 This module is the one place that computes that convolution, by one of
-three paths that agree to rounding.  At every N, a kernel given by a tail,
-``beta(x) = Re(a e^{lambda |x|})``, as both built-in kernels are, takes
-the tail path: its stencil is ``sign(k) Re(c w^|k|)``, so the
-sum is a prefix sum of ``w^-j f(v_j)`` from the left end and one of ``w^j
-f(v_j)`` from the right, each accumulating toward the node it serves (a
-total minus a prefix sum would cancel).  Tabulated kernels, and grids whose
-largest tail weight ``e^{2Nh|Re lambda|}`` would pass 1e200, take a direct
-sum (``convolve_rhs_direct``) below half-width ``FAST_CONV_MIN_N`` and
-from it upward a product of real FFTs over the shortest 5-smooth cycle of
-at least ``4N+1`` points: the cyclic convolution then wraps only into
-entries outside the window ``2N..4N`` that the right-hand side reads.  The
+three paths that agree to 1e-12 on every grid each accepts.  At every N, a
+kernel given by a tail, ``beta(x) = Re(a e^{lambda |x|})``, as both
+built-in kernels are, takes the tail path: its stencil is ``sign(k) Re(c
+w^|k|)``, so the sum is a prefix sum of ``w^-j f(v_j)`` from the left end
+and one of ``w^j f(v_j)`` from the right, each toward the node it serves (a
+total minus a prefix sum would cancel), in blocks whose weights stay within
+1e200.  It refuses ``h |Re lambda| > 8``, a mesh that does not resolve the
+kernel, where the sums round to ``eps e^{h |Re lambda|}``.  A tabulated
+kernel takes a direct sum (``convolve_rhs_direct``) below half-width
+``FAST_CONV_MIN_N`` and from it upward a product of real FFTs over the
+shortest 5-smooth cycle of at least ``4N+1`` points: the cyclic convolution
+then wraps only into entries outside the window ``2N..4N`` that it reads.  The
 tail weights, the cycle length and the stencil's transform are fixed when
 the system is built.  ``f`` is evaluated by Horner's rule.  The right-hand
 side checks only the state's shape: blow-up is a property of the
@@ -51,9 +52,7 @@ DEFAULT_BLOW_UP_THRESHOLD = 1e6
 # Below this half-width the direct path beats the FFT path.  Timed per call
 # with numpy 2.4 on a 2-core Xeon, the two tie within noise at N = 220..260;
 # whole runs favour the direct path at N = 240 and the FFT path at N = 260.
-# It gates only the FFT path: the tail path ties the direct one per call
-# near N = 75..120 and loses at most 6 us below, so it runs at every N.
-# fast_mode "on"/"off" force the FFT/direct path for cross-checking.
+# It gates only the FFT path; the tail path ties the direct one near N = 100, runs at every N.
 FAST_CONV_MIN_N = 250
 
 _MAX_SAMPLES = 513
@@ -130,11 +129,11 @@ class TruncatedSystem:
     and ``c = a (w - 1/w) / 2h`` that kernel's stencil is
     ``sign(k) Re(c w^|k|)``, which the tail path uses in place of
     ``stencil``.  ``fast_mode`` selects the convolution path: ``"auto"``
-    uses the tail path at every N, else the FFT path from
-    ``N >= FAST_CONV_MIN_N`` upward and the direct path below; ``"on"`` and
-    ``"off"`` force the FFT/direct path.  ``convolution`` names the path
-    that runs (``"direct"``, ``"fft"`` or ``"tail"``); ``fft_length`` is the
-    FFT path's cycle length, ``None`` on the others.
+    uses the tail path at every N, refusing ``h |Re lambda| > 8``, else the
+    FFT path from ``N >= FAST_CONV_MIN_N`` upward and the direct path below;
+    ``"on"`` and ``"off"`` force the FFT/direct path.  ``convolution`` names
+    the path that runs (``"direct"``, ``"fft"`` or ``"tail"``);
+    ``fft_length`` is the FFT path's cycle length, ``None`` on the others.
     """
 
     grid: Grid
@@ -163,17 +162,19 @@ class TruncatedSystem:
         path = "fft" if auto_fft or self.fast_mode == "on" else "direct"
         if self.tail is not None and self.fast_mode == "auto":
             a, lam = self.tail
-            c = a * np.sinh(lam * h) / h  # a (w - 1/w) / 2h without cancelling
+            if -lam.real * h > 8:  # the sums below round to eps e^{h|Re lambda|}
+                raise ValueError(f"h |Re lambda| = {-lam.real * h:g} > 8: the mesh is too coarse")
+            path, c = "tail", a * np.sinh(lam * h) / h  # a (w - 1/w) / 2h without cancelling
             powers = np.exp(lam * h) ** np.arange(2 * n + 1)  # w^j, j = 0..2N
-            # The prefix sums reach (2N+1) max|f(v)| times the largest weight
-            # e^{2Nh|Re lambda|}; a cap of 1e200 leaves 1e108 of headroom for
-            # |f(v)| past the blow-up threshold before they overflow.
-            if abs(powers[-1]) > 1e-200:
-                path = "tail"
-                inverse = 1.0 / powers
-                object.__setattr__(self, "_tail_weights", (  # broadcast over states
-                    np.stack((inverse, powers))[:, None],
-                    -h * c * np.stack((powers, inverse))[:, None]))
+            # Even blocks, weights within 1e200, leave 1e108 of headroom for |f(v)| past the
+            # blow-up threshold; a carry's own carry, damped by |w|^span < 1e-100, is dropped.
+            blocks = -(-powers.size // np.count_nonzero(abs(powers) > 1e-200))
+            span = -(-powers.size // blocks)
+            powers = powers[np.arange(powers.size) % span]  # w^(j mod span)
+            object.__setattr__(self, "_tail_weights", (  # broadcast over states
+                np.stack((1.0 / powers, powers))[:, None],
+                -h * c * np.stack((powers, 1.0 / powers))[:, None, :span],
+                powers[:span] * np.exp(lam * h)))  # w^{j+1}, a carry's weights
         nfft = _fft_length(n) if path == "fft" else None
         object.__setattr__(self, "stencil", stencil)
         object.__setattr__(self, "convolution", path)
@@ -193,13 +194,21 @@ class TruncatedSystem:
         out, nfft = self.nonlinearity.evaluate_values(v, out), self.fft_length
         g = out.reshape(-1, 2 * n + 1)  # a view: one row per state
         if self._tail_weights is not None:
-            # sums[0] adds w^-j g_j from the left, sums[1] w^j g_j from the
-            # right; rescaled, they are -h c (L_i + g_i) and -h c (R_i + g_i)
-            w_in, w_out = self._tail_weights
-            sums = g * w_in
-            np.add.accumulate(sums[0], axis=-1, out=sums[0])
-            np.add.accumulate(sums[1, :, ::-1], axis=-1, out=sums[1, :, ::-1])
-            sums *= w_out
+            # per block, sums[0] adds w^-j g_j rightward, sums[1] w^j g_j leftward; rescaled and
+            # carried over from the neighbour block: -h c (L_i + g_i) and -h c (R_i + g_i)
+            w_in, w_out, step = self._tail_weights
+            sums = blocks = g * w_in
+            if step.size <= 2 * n:  # several blocks: pad the last with zeros, a row per block
+                sums = np.concatenate((sums, np.zeros((2, len(g), -g.shape[1] % step.size))), -1)
+                blocks = sums.reshape(2, -1, step.size)
+            np.add.accumulate(blocks[0], axis=-1, out=blocks[0])
+            np.add.accumulate(blocks[1, :, ::-1], axis=-1, out=blocks[1, :, ::-1])
+            blocks *= w_out
+            if step.size <= 2 * n:
+                blocks = sums.reshape(2, len(g), -1, step.size)
+                blocks[0, :, 1:] += blocks[0, :, :-1, -1:] * step
+                blocks[1, :, :-1] += blocks[1, :, 1:, :1] * step[::-1]
+                sums = sums[..., :2 * n + 1]
             np.subtract(sums[0].real, sums[1].real, out=g)
         elif nfft is None:
             convolve_rhs_direct(self.stencil, g, h, g)

@@ -294,6 +294,8 @@ class TestValidation:
         "adjacent-snapshots": ("simulate", dict(t_end=6.0,
                                                 snapshots="0, 5, 5.000000000000001")),
         "t_end-within-ulps-of-0": ("simulate", dict(t_end=1e-15)),
+        # h |Re lambda| = 10 > 8: the mesh does not resolve the bbm kernel
+        "coarser-than-the-tail-limit": ("simulate", dict(h=10.0, half=30.0)),
         "increasing-h_list": ("converge", dict(h_list="0.25, 0.5")),
         "zero-in-h_list": ("converge", dict(h_list="0.5, 0")),
         "decreasing-n_list": ("truncation", dict(n_list="48, 32")),
@@ -345,7 +347,8 @@ class TestValidation:
     MESSAGES = {"nan-initial_width": "width",
                 "nan-initial_amplitude": "initial_amplitude",
                 "inf-initial_center": "initial_center",
-                "inf-initial_width": "initial_width"}
+                "inf-initial_width": "initial_width",
+                "coarser-than-the-tail-limit": r"h \|Re lambda\| = 10 > 8"}
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_rejected_before_any_output(self, tmp_path, capsys, case):
@@ -489,6 +492,15 @@ class TestTruncation:
         assert summary["convolution"] == ["tail", "tail"]
         assert summary["fft_length"] == [None, None]
         assert len(summary["rhs_calls"]) == 2 and min(summary["rhs_calls"]) > 0
+
+    def test_grids_past_the_old_tail_cap_stay_on_the_tail(self, tmp_path):
+        # 2 N h = 480 at N = 600 puts e^{2Nh} past 1e200, where the FFT path
+        # used to take over; blocked tail sums keep both grids on the tail
+        cfg, outdir = write_config(tmp_path, h=0.4, n_list="500, 600", t_end=2.0)
+        assert main(["truncation", "--config", cfg]) == 0
+        summary = read_json(os.path.join(outdir, "summary.json"))
+        assert summary["convolution"] == ["tail", "tail"]
+        assert summary["fft_length"] == [None, None]
 
     def test_zero_horizon_sweep_has_no_plateau(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=0.0, n_list="32, 48")

@@ -455,6 +455,27 @@ class TestStack:
         assert stack.accepted_steps == sum(t.accepted_steps for t in stack)
         assert stack.rejected_steps == sum(t.rejected_steps for t in stack)
 
+    def test_rows_of_a_multi_block_tail_grid_match_their_own_runs(self):
+        # at h = 2 a bbm tail block holds at most 231 nodes: the N = 300 grid
+        # runs in 3 blocks, N = 120 in 2 and N = 50 in one.  A profile of
+        # size 1 everywhere makes the carries and the narrower rows' zeroed
+        # padding count at every block boundary and row edge
+        problem = bbm_problem()
+        grids = [Grid(2.0, n) for n in (50, 120, 300)]
+        inits = [SampledSequence(g, 0.5 * np.sin(0.3 * g.nodes) + 0.2 * np.cos(0.11 * g.nodes))
+                 for g in grids]
+        system = build_system(problem.kernel, grids[-1], problem.nonlinearity)
+        stack = integrate(system, inits, 4.0, snapshots=[2.0])
+        for traj, init in zip(stack, inits):
+            own = integrate(build_system(problem.kernel, init.grid, problem.nonlinearity),
+                            init, 4.0, snapshots=[2.0])
+            assert (traj.accepted_steps, traj.rejected_steps, traj.rhs_calls) == (
+                own.accepted_steps, own.rejected_steps, own.rhs_calls)
+            for state, own_state in zip(traj.states, own.states):
+                assert state.grid == init.grid
+                np.testing.assert_allclose(state.values, own_state.values,
+                                           rtol=0, atol=1e-12)
+
     def test_blow_up_in_one_row_names_its_grid(self):
         # u' = +u^2 from 3 passes 1e3 before t = 2, from 0.1 it does not
         system = node_stub(2, -1.0, Nonlinearity(((2, 1.0),)), threshold=1e3)

@@ -20,7 +20,12 @@ from nlwave import (
     rosenau_kernel,
     tabulated_kernel,
 )
-from nlwave.system import FAST_CONV_MIN_N, _fft_length, convolve_rhs_direct
+from nlwave.system import (
+    DEFAULT_BLOW_UP_THRESHOLD,
+    FAST_CONV_MIN_N,
+    _fft_length,
+    convolve_rhs_direct,
+)
 
 
 def rhs_oracle(stencil, h, n, g):
@@ -234,12 +239,16 @@ class TestRhs:
 
     @pytest.mark.parametrize("kernel, f, h", [
         (bbm_kernel(), Nonlinearity.bbm(1), 0.1),
-        (rosenau_kernel(), Nonlinearity.rosenau(), 0.05)])
+        (rosenau_kernel(), Nonlinearity.rosenau(), 0.05),
+        (bbm_kernel(), Nonlinearity.bbm(1), 8.0),
+        (rosenau_kernel(), Nonlinearity.rosenau(), 8.0 * math.sqrt(2.0))])
     def test_tail_path_matches_direct_on_small_grids(self, kernel, f, h):
         # below FAST_CONV_MIN_N "auto" runs the tail path where "off" runs
-        # the direct sum; they agree down to N = 1, three nodes
+        # the direct sum; they agree down to N = 1, three nodes, and up to
+        # the coarsest mesh the tail path takes, h |Re lambda| = 8, where its
+        # rounding eps e^{h |Re lambda|} peaks and N = 60 runs in 3 blocks
         rng = np.random.default_rng(60)
-        for n in (1, 2, 3, 8, 16, 60):
+        for n in (1, 2, 3, 8, 10, 16, 60):
             g = Grid(h=h, n_half=n)
             tail, direct = (build_system(kernel, g, f, fast_mode=mode)
                             for mode in ("auto", "off"))
@@ -249,26 +258,72 @@ class TestRhs:
                 assert np.max(np.abs(tail.rhs_values(v)
                                      - direct.rhs_values(v))) < 1e-12
 
-    def test_grid_past_the_tail_cap_falls_back_to_fft(self):
-        # the largest tail weight e^{2Nh} is e^{450} at h = 0.9, under the
-        # 1e200 cap, and e^{500} at h = 1, past it
+    def test_grid_past_the_old_tail_cap_stays_on_the_tail(self):
+        # the largest tail weight e^{2Nh} is e^{450} at h = 0.9, under 1e200,
+        # and e^{500} at h = 1, past it: the second grid runs in two blocks
         n = FAST_CONV_MIN_N
         rng = np.random.default_rng(8)
-        for h, path in ((0.9, "tail"), (1.0, "fft")):
+        for h in (0.9, 1.0):
             g = Grid(h=h, n_half=n)
             auto, direct = (build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
                                          fast_mode=mode) for mode in ("auto", "off"))
-            assert auto.convolution == path
+            assert auto.convolution == "tail" and auto.fft_length is None
             v = rng.uniform(-1.0, 1.0, g.node_count)
             assert np.max(np.abs(auto.rhs_values(v) - direct.rhs_values(v))) < 1e-12
 
-    def test_grid_past_the_tail_cap_below_the_constant_stays_direct(self):
-        # e^{2Nh} is e^{480} at h = 1, N = 240: past the cap, and below
-        # FAST_CONV_MIN_N the FFT path is not taken either
+    def test_grid_past_the_old_tail_cap_below_the_constant_stays_on_the_tail(self):
+        # e^{2Nh} is e^{480} at h = 1, N = 240: past 1e200, below
+        # FAST_CONV_MIN_N, where the direct path used to take over
         assert 240 < FAST_CONV_MIN_N
         g = Grid(h=1.0, n_half=240)
-        system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
-        assert system.convolution == "direct" and system.fft_length is None
+        auto, direct = (build_system(bbm_kernel(), g, Nonlinearity.bbm(1), fast_mode=mode)
+                        for mode in ("auto", "off"))
+        assert auto.convolution == "tail" and auto.fft_length is None
+        v = np.random.default_rng(9).uniform(-1.0, 1.0, g.node_count)
+        assert np.max(np.abs(auto.rhs_values(v) - direct.rhs_values(v))) < 1e-12
+
+    @pytest.mark.parametrize("kernel, decay", [(bbm_kernel(), 4.0), (rosenau_kernel(), 5.0)],
+                             ids=["bbm", "rosenau"])
+    def test_tail_blocks_match_direct_across_their_boundaries(self, kernel, decay):
+        # a block holds at most span nodes, the most whose weights |w|^-j stay
+        # within 1e200: 116 at h |Re lambda| = 4, 93 at 5.  2N+1 is odd, so
+        # both neighbours of an even size are run: one to three blocks
+        h = decay / abs(kernel.tail[1].real)
+        span = np.count_nonzero(np.exp(-decay * np.arange(1000)) > 1e-200)
+        assert span == {4.0: 116, 5.0: 93}[decay]
+        rng = np.random.default_rng(21)
+        sizes = (span, span + 1, 2 * span, 2 * span + 1)
+        for n in sorted({m // 2 for m in sizes} | {(m - 1) // 2 for m in sizes}):
+            g = Grid(h=h, n_half=n)
+            tail, direct = (build_system(kernel, g, Nonlinearity.rosenau(), fast_mode=mode)
+                            for mode in ("auto", "off"))
+            assert tail.convolution == "tail"
+            v = rng.uniform(-1.0, 1.0, (3, g.node_count))
+            assert np.max(np.abs(tail.rhs_values(v) - direct.rhs_values(v))) < 1e-12
+
+    @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()],
+                             ids=["bbm", "rosenau"])
+    def test_mesh_coarser_than_the_tail_limit_refused(self, kernel):
+        # past h |Re lambda| = 8 the mesh does not resolve the kernel, and the
+        # tail path's sums would lose digits; the direct sum still builds
+        g = Grid(h=8.01 / abs(kernel.tail[1].real), n_half=3)
+        with pytest.raises(ValueError, match=r"h \|Re lambda\| = 8.01 > 8"):
+            build_system(kernel, g, Nonlinearity.bbm(1))
+        direct = build_system(kernel, g, Nonlinearity.bbm(1), fast_mode="off")
+        assert direct.convolution == "direct"
+
+    def test_tail_sums_keep_headroom_past_the_blow_up_threshold(self):
+        # |v| up to the default threshold 1e6 makes |f(v)| about 1.2e31; the
+        # block weights stay within 1e200, so no sum overflows
+        g = Grid(h=4.0 * math.sqrt(2.0), n_half=200)  # 4 blocks of 101 nodes
+        tail, direct = (build_system(rosenau_kernel(), g, Nonlinearity.rosenau(),
+                                     fast_mode=mode) for mode in ("auto", "off"))
+        assert tail.convolution == "tail"
+        v = np.random.default_rng(12).uniform(-1.0, 1.0, g.node_count)
+        v *= DEFAULT_BLOW_UP_THRESHOLD
+        out = tail.rhs_values(v)
+        assert np.all(np.isfinite(out)) and np.max(np.abs(out)) > 1e30
+        assert np.max(np.abs(out - direct.rhs_values(v))) <= 1e-12 * np.max(np.abs(out))
 
     def test_fft_cycle_is_shortest_alias_free_5_smooth(self):
         # 4N+1 is itself 5-smooth at the tight cases N = 1, 2, 6, 11, 20, 31,
