@@ -189,10 +189,10 @@ def _call(owner, *args, **values):
 def load_run_config(path: str) -> RunConfig:
     """Parse a configuration file and check every value in it.
 
-    This function checks the INI format and the section and key names
-    against ``_KEYS`` and ``_EQUATION_KEYS``; each value is checked by the class
-    that owns it (``Grid``, ``StudyConfig``, ``IntegratorConfig``, ``DecayEnvelope``,
-    ``TruncatedSystem`` for h), and their ``ValueError`` becomes a ``ConfigError``.
+    Checks the INI format and the section and key names against ``_KEYS`` and
+    ``_EQUATION_KEYS``; each value is checked by the class that owns it (``Grid``,
+    ``StudyConfig``, ``IntegratorConfig``, ``DecayEnvelope``, ``TruncatedSystem`` for h
+    and the blow-up threshold), and their ``ValueError`` becomes a ``ConfigError``.
     """
     parser = configparser.ConfigParser()
     try:
@@ -225,7 +225,8 @@ def load_run_config(path: str) -> RunConfig:
             DecayEnvelope(rate=cfg.decay_rate)
         for grid in {replace(g, n_half=1)  # one 3-node system per h checks it
                      for g in (cfg.grid(), *cfg.sweep_grids(cfg.h_list, cfg.n_list))}:
-            build_system(problem.kernel, grid, problem.nonlinearity, fast_mode=cfg.fast_mode)
+            build_system(problem.kernel, grid, problem.nonlinearity,
+                         blow_up_threshold=cfg.blow_up_threshold, fast_mode=cfg.fast_mode)
     except ConfigError:
         raise
     except (ValueError, OverflowError, configparser.Error) as exc:

@@ -81,7 +81,7 @@ _E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
                 1.8915178993145003, -5.801203960010585, -0.4226823213237919,
                 -0.1521609496625161, 0.20136540080403034, 0.02265179219836082])
 # Weights on the stages of the 11 stage inputs, the new state and the two
-# estimates; times a row's h, each is one vector-matrix product per row.
+# estimates; times a row's h, after a weight on y, each is one product per row.
 _STEP = np.zeros((14, 12))
 for _i, _w in enumerate(_A[1:] + (_B, _E5, _E3)):
     _STEP[_i, :_w.size] = _w
@@ -187,11 +187,12 @@ def integrate(
 ) -> Trajectory | TrajectoryStack:
     """Integrate the system from t=0 and record the snapshot states.
 
-    Times 0 and ``t_end`` are always recorded, besides ``snapshots``.  Given
-    a sequence of states of the system's h, none wider than its grid, returns
-    their ``TrajectoryStack``.  Raises ``BlowUpError``, naming the grid, when
-    the initial state or an attempted step's state has a sup-norm above
-    ``system.blow_up_threshold`` or a non-finite value, or f(y0) is
+    Times 0 and ``t_end`` are always recorded, besides ``snapshots``.  Given a
+    sequence of states of the system's h, none wider than its grid, returns
+    their ``TrajectoryStack``.  Each stage sum is one product, y a term of
+    weight 1 (0 in the error estimates).  Raises ``BlowUpError``, naming the
+    grid, when the initial state or an attempted step's state has a sup-norm
+    above ``system.blow_up_threshold`` or a non-finite value, or f(y0) is
     non-finite; stage inputs are not checked, but a non-finite stage enters
     the step's state (0 * NaN = NaN).  Raises ``StepFailureError`` when the
     controller underflows the step or runs out of its step budget.
@@ -209,7 +210,7 @@ def integrate(
 
     def rhs(v, out):
         system.rhs_values(v, out=out)
-        if padded:  # the tail path's left prefix sums leak into the padding
+        if padded:  # the padding lies within the grid, so every path's sums reach it
             np.copyto(out, 0.0, where=padding)
 
     for i, state in enumerate(states):
@@ -224,33 +225,30 @@ def integrate(
         if targets:
             rhs(y, k[1])
             _initial_steps(rhs, y, k[1], k[2], rows, targets[-1], cfg)
-        w = np.empty((len(rows), 14, 12))  # _STEP times each row's h
+        w = np.zeros((len(rows), 14, 13))  # per row: y's weight, then _STEP times h
+        w[:, :12, 0] = 1.0  # the stage inputs and the new state add y; the estimates do not
         sums = np.empty((3, *y.shape))  # a stage input, then the new state; err5; err3
-        # product i: row i of each row's weights times that row's stages
-        products = [(w[:, i, None, :min(i + 1, 12)], k[1:min(i + 2, 13)].transpose(1, 0, 2),
-                     sums[max(i - 11, 0), :, None]) for i in range(14)]
+        products = [(w[:, i, None, :i + 2], k[:i + 2].transpose(1, 0, 2), sums[0, :, None])
+                    for i in range(11)]
+        where = "on the N={.grid.n_half} grid".format  # formatted only for an error
         while any(row.target < len(targets) for row in rows):
             for row in rows:
                 row.h_use = 0.0  # a finished row idles on its final state
                 if row.target == len(targets):
                     continue
-                where = f"on the N={row.grid.n_half} grid"
                 if row.accepted + row.rejected >= cfg.max_steps:
-                    raise StepFailureError(f"exceeded max_steps={cfg.max_steps} {where}")
+                    raise StepFailureError(f"exceeded max_steps={cfg.max_steps} {where(row)}")
                 target = targets[row.target]  # a sliver short of it is no steppable gap
                 row.clipped = target - (row.t + row.h) <= _underflow_bound(target)
                 row.h_use = target - row.t if row.clipped else row.h
                 if row.h_use <= _underflow_bound(row.t):
-                    raise StepFailureError(f"step size underflow at t={row.t:.17g} {where}")
+                    raise StepFailureError(f"step size underflow at t={row.t:.17g} {where(row)}")
                 row.rhs_calls += 11
-            np.multiply(np.array([row.h_use for row in rows])[:, None, None], _STEP, out=w)
+            np.multiply([[[row.h_use]] for row in rows], _STEP, out=w[..., 1:])
             for product, f_out in zip(products, k[2:]):
                 np.matmul(*product)
-                sums[0] += y
                 rhs(sums[0], f_out)
-            for product in products[11:]:
-                np.matmul(*product)
-            sums[0] += y
+            np.matmul(w[:, 11:], k.transpose(1, 0, 2), out=sums.transpose(1, 0, 2))
             norms = np.abs(sums).max(axis=-1).tolist()
             advanced = False
             for i, (row, y_new_norm, err5, err3) in enumerate(zip(rows, *norms)):

@@ -52,7 +52,7 @@ DEFAULT_BLOW_UP_THRESHOLD = 1e6
 # Below this half-width the direct path beats the FFT path.  Timed per call
 # with numpy 2.4 on a 2-core Xeon, the two tie within noise at N = 220..260;
 # whole runs favour the direct path at N = 240 and the FFT path at N = 260.
-# It gates only the FFT path; the tail path ties the direct one near N = 100, runs at every N.
+# It only chooses between a tabulated kernel's direct and FFT paths.
 FAST_CONV_MIN_N = 250
 
 _MAX_SAMPLES = 513

@@ -301,6 +301,12 @@ class TestValidation:
         "decreasing-n_list": ("truncation", dict(n_list="48, 32")),
         "zero-in-n_list": ("truncation", dict(n_list="0, 32")),
         "rate-above-one": ("decay", dict(rate=1.5)),
+        "negative-blow_up_threshold": ("simulate", dict(
+            extra={"equation": "blow_up_threshold = -1"})),
+        "zero-blow_up_threshold": ("simulate", dict(
+            extra={"equation": "blow_up_threshold = 0"})),
+        "nan-blow_up_threshold": ("simulate", dict(
+            extra={"equation": "blow_up_threshold = nan"})),
         # N = 4e15: refused on construction, long before any allocation
         "oversize-grid": ("simulate", dict(half=1e15)),
         # keys and sections the loader does not read, removed ones included

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlwave import (
@@ -45,6 +47,30 @@ def is_5_smooth(m):
         while m % p == 0:
             m //= p
     return m == 1
+
+
+@st.composite
+def even_systems(draw):
+    """A system of an even kernel, a tail or a table evaluated at |x|, and a
+    state seed; N from 1 to 700 and every fast_mode."""
+    n = draw(st.integers(1, 700))
+    if draw(st.booleans()):  # a tail Re(a e^{lambda |x|}) with h |Re lambda| <= 8
+        a = draw(st.floats(0.1, 2.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        lam = complex(-draw(st.floats(0.01, 10.0)), draw(st.floats(-10.0, 10.0)))
+        kernel = Kernel(tail=(a, lam))
+        h = draw(st.floats(1e-3, 8.0)) / -lam.real
+    else:  # np.interp of a mirrored table is even only to rounding, so fold x
+        xs = np.sort(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6, unique=True)))
+        values = draw(st.lists(st.integers(-20, 20), min_size=xs.size + 1,
+                               max_size=xs.size + 1))
+        table = tabulated_kernel(np.r_[0.0, xs], np.divide(values, 10))
+        kernel = Kernel(evaluate=lambda x: table.evaluate(np.abs(x)))
+        h = draw(st.floats(0.01, 1.0))
+    terms = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(-30, 30).map(lambda c: c / 10)),
+                          min_size=1, max_size=3))
+    mode = draw(st.sampled_from(["auto", "on", "off"]))
+    return (build_system(kernel, Grid(h=h, n_half=n), Nonlinearity(tuple(terms)), fast_mode=mode),
+            draw(st.integers(0, 2**32 - 1)))
 
 
 class TestNonlinearity:
@@ -357,6 +383,27 @@ class TestRhs:
             assert np.max(np.abs(row - system.rhs_values(state))) < 1e-12
         with pytest.raises(ValueError):
             system.rhs_values(v[:, :-1])
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(even_systems())
+    def test_even_kernel_rhs_is_skew(self, case):
+        # an even kernel's stencil is odd, so sum_i f(v_i) rhs_i = 0 on every
+        # path, up to rounding of the terms the path sums: h |stencil|, or on
+        # the tail path |h c w^k|, whose lag 0 is the -h c g_i both sums carry.
+        # An FFT rounds each entry by the largest, hence the max; a product of
+        # norms would underflow for a tiny kernel
+        system, seed = case
+        n, h = system.grid.n_half, system.grid.h
+        v = np.random.default_rng(seed).uniform(-1.0, 1.0, system.grid.node_count)
+        g = system.nonlinearity.evaluate_values(v)
+        if system.convolution == "tail":
+            a, lam = system.tail
+            lags = np.abs(np.arange(-2 * n, 2 * n + 1))
+            terms = abs(a * np.sinh(lam * h)) * np.exp(lam.real * h * lags)
+        else:
+            terms = h * np.abs(system.stencil)
+        scale = np.sum(np.abs(g)) * np.max(np.convolve(terms, np.abs(g)))
+        assert abs(g @ system.rhs_values(v)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("fast_mode", ["on", "off"])
     def test_wrong_state_length_rejected(self, fast_mode):
