@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Grid",
-    "SampledSequence",
-    "restrict",
-    "MAX_N_HALF",
-]
+__all__ = ["Grid", "SampledSequence", "restrict"]
 
 # Largest half-width N: the system's stencil of 4N+1 floats is then 512 MiB,
 # so a larger grid is refused before anything is allocated.

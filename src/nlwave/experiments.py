@@ -28,7 +28,6 @@ __all__ = [
     "linf_error",
     "convergence_rate",
     "fit_observed_order",
-    "run_single",
     "run_profile_study",
     "run_h_refinement",
     "run_truncation_study",
@@ -57,10 +56,6 @@ class ErrorRecord:
     wall_time: float
     fft_length: int | None
     convolution: str
-
-    def __post_init__(self):
-        if self.linf_error < 0:
-            raise ValueError("linf_error must be nonnegative")
 
 
 def linf_error(numeric: SampledSequence, wave, t: float) -> float:

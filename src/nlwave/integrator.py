@@ -33,13 +33,7 @@ import numpy as np
 from .discrete import SampledSequence
 from .system import BlowUpError, TruncatedSystem
 
-__all__ = [
-    "IntegratorConfig",
-    "Trajectory",
-    "TrajectoryStack",
-    "StepFailureError",
-    "integrate",
-]
+__all__ = ["IntegratorConfig", "Trajectory", "StepFailureError", "integrate"]
 
 # DOP853 tableau: float literals of the 12-stage block of SciPy's
 # integrate._ivp.dop853_coefficients (numpy is the only runtime dependency).

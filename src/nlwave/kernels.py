@@ -83,8 +83,9 @@ def rosenau_kernel() -> Kernel:
 def tabulated_kernel(nodes, values) -> Kernel:
     """Kernel defined by linear interpolation of ``(nodes, values)`` samples.
 
-    Evaluates to zero outside ``[nodes[0], nodes[-1]]``.  A tabulated kernel
-    has no tail, so large grids take the FFT path.
+    Evaluates to zero outside ``[nodes[0], nodes[-1]]``.  A table mirrored
+    about 0 is evaluated at ``|x|``, so it is exactly even.  A tabulated
+    kernel has no tail, so large grids take the FFT path.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -97,8 +98,11 @@ def tabulated_kernel(nodes, values) -> Kernel:
     if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(values)):
         raise ValueError("tabulation data must be finite")
     # left/right give 0 strictly outside the closed support
-    return Kernel(evaluate=functools.partial(np.interp, xp=nodes.copy(),
-                                             fp=values.copy(), left=0.0, right=0.0))
+    table = functools.partial(np.interp, xp=nodes.copy(), fp=values.copy(), left=0.0, right=0.0)
+    if np.array_equal(nodes, -nodes[::-1]) and np.array_equal(values, values[::-1]):
+        # np.interp evaluates x and -x by different formulas; |x| makes a mirrored table even
+        return Kernel(evaluate=lambda x: table(np.abs(x)))
+    return Kernel(evaluate=table)
 
 
 def kernel_from_file(path) -> Kernel:

@@ -41,9 +41,6 @@ __all__ = [
     "TruncatedSystem",
     "build_system",
     "discrete_mass",
-    "convolve_rhs_direct",
-    "DEFAULT_BLOW_UP_THRESHOLD",
-    "FAST_CONV_MIN_N",
 ]
 
 # Finite stand-in for the asymptotic blow-up condition limsup |v| = inf.

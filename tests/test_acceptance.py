@@ -54,6 +54,7 @@ from nlwave import (
 from nlwave.experiments import run_single
 from nlwave.problems import bbm_problem, rosenau_problem
 from nlwave.system import FAST_CONV_MIN_N
+from oracles import boundary_flux
 
 RATE_WINDOW = (1.8, 2.2)
 SQRT2 = math.sqrt(2.0)
@@ -390,24 +391,6 @@ def test_criterion_07_linear_matrix_exponential_oracle():
     assert ok
 
 
-def boundary_flux(problem, state):
-    """Mass flux ``h sum_i rhs_i`` of the truncated system, in closed form.
-
-    The central-difference stencil is odd, so the sum over ``i`` telescopes
-    to kernel values straddling the two domain ends:
-    ``-(h/2) sum_j f(v_j) [beta(L+h-x_j) + beta(L-x_j) - beta(-L-x_j)
-    - beta(-L-h-x_j)]`` with ``L = x_N``.  Built from the kernel and the
-    nonlinearity alone, independently of the convolution.
-    """
-    grid = state.grid
-    h, half, x = grid.h, grid.half_width, grid.nodes
-    beta = problem.kernel.evaluate
-    f = problem.nonlinearity.evaluate_values(state.values)
-    weights = (beta(half + h - x) + beta(half - x)
-               - beta(-half - x) - beta(-half - h - x))
-    return -0.5 * h * float(np.sum(f * weights))
-
-
 def test_criterion_08_mass_conservation():
     # The protocol runs of criteria 1 and 2, with 401 snapshots each so the
     # boundary flux can be integrated in time.
@@ -420,7 +403,8 @@ def test_criterion_08_mass_conservation():
         study = run_profile_study(dataclasses.replace(cfg,
                                                       snapshot_times=dense))
         traj = study.trajectory
-        flux = [boundary_flux(cfg.problem, s) for s in traj.states]
+        flux = [boundary_flux(cfg.problem.kernel, cfg.problem.nonlinearity, s)
+                for s in traj.states]
         outflow = simpson(flux, x=np.asarray(traj.times))
         balance = study.mass_final - study.mass_initial - outflow
         balances[label] = abs(balance) / abs(study.mass_initial)

@@ -348,9 +348,23 @@ class TestValidation:
             kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION + "\ninitial_center = inf")),
         "inf-initial_width": ("simulate", dict(
             kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION + "\ninitial_width = inf")),
+        "zero-initial_width": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION + "\ninitial_width = 0")),
+        "unknown-initial": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION + "\ninitial = box")),
+        "malformed-term": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL,
+            equation=CUSTOM_EQUATION.replace("1:1.0", "2-1.0"))),
+        "nan-coefficient": ("simulate", dict(
+            kernel=TRIANGLE_KERNEL,
+            equation=CUSTOM_EQUATION.replace("1:1.0", "1:nan"))),
     }
     # cases whose refusal must name the offending key
     MESSAGES = {"nan-initial_width": "width",
+                "zero-initial_width": "width must be positive",
+                "unknown-initial": "unknown initial profile kind 'box'",
+                "malformed-term": "bad term '2-1.0'",
+                "nan-coefficient": "coefficients must be finite",
                 "nan-initial_amplitude": "initial_amplitude",
                 "inf-initial_center": "initial_center",
                 "inf-initial_width": "initial_width",
@@ -364,6 +378,28 @@ class TestValidation:
             load_run_config(cfg)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("nlwave: config error: ")
+        assert set(os.listdir(tmp_path)) <= {"run.ini", "kernel.txt"}
+
+    # (command, overrides, message): a config that loads, but that the
+    # command refuses with exit 2 before writing anything
+    REFUSED_BY_COMMAND = {
+        "truncation-without-n_list": ("truncation", dict(n_list=""),
+                                      "truncation needs a [study] n_list"),
+        "decay-without-rate": ("decay", dict(rate=""), "decay needs a [decay] section"),
+        # the self-refinement reference at h = 0.1 shares no nodes with h = 0.25
+        "custom-converge-not-nested": ("converge", dict(
+            kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION, half=1.0,
+            h_list="0.25, 0.2", t_end=0.1), "self-refinement requires nested grids"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_BY_COMMAND))
+    def test_refused_by_the_command_without_output(self, tmp_path, capsys, case):
+        command, overrides, message = self.REFUSED_BY_COMMAND[case]
+        cfg, _ = write_config(tmp_path, **overrides)
+        load_run_config(cfg)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nlwave: config error: ") and message in err
         assert set(os.listdir(tmp_path)) <= {"run.ini", "kernel.txt"}
 
 

@@ -350,6 +350,14 @@ class TestStepControl:
             integrate(system, init, 1.0, snapshots=[0.25, 0.5, 0.75, 1.0],
                       config=cfg)
 
+    def test_tolerance_below_any_step_fails_on_the_first(self):
+        g = Grid(h=0.25, n_half=40)
+        system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
+        cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300)
+        with pytest.raises(StepFailureError,
+                           match="step size underflow at t=0 on the N=40 grid"):
+            integrate(system, initial_data(bbm_solitary(x0=-3.0), g), 1.0, config=cfg)
+
     @pytest.mark.parametrize("case", list(BLOW_UP_CASES))
     def test_blow_up_propagates(self, case):
         # no np.errstate here: the suite turns any numpy warning into a failure

@@ -177,6 +177,15 @@ class TestTabulatedKernel:
             assert isinstance(value, float)
             np.testing.assert_array_equal(value, expected)
 
+    @pytest.mark.parametrize("h", [1 / 64, 0.03, 0.1])
+    def test_mirrored_table_gives_an_exactly_odd_stencil(self, h):
+        # np.interp evaluates x and -x by different formulas, which left the
+        # central lag of such a stencil at 7.1e-15 for h = 1/64
+        half, top = np.array([0.3, 0.7, 1.1, 2.0]), np.array([0.6, -0.2, 0.4, 0.0])
+        k = tabulated_kernel(np.r_[-half[::-1], 0.0, half], np.r_[top[::-1], 1.0, top])
+        stencil = build_system(k, Grid(h=h, n_half=40), Nonlinearity.bbm(1)).stencil
+        np.testing.assert_array_equal(stencil, -stencil[::-1])
+
     def test_vectorized_evaluation(self):
         k = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
         out = k.evaluate(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))

@@ -1,5 +1,6 @@
-"""The package's public names: every ``__all__`` entry resolves, none
-repeats, and a star import succeeds; the command line imports no SciPy."""
+"""The package's public names: the package exports each library module's
+``__all__``, every entry resolves, none repeats, and a star import succeeds;
+the command line imports no SciPy."""
 
 import importlib
 import os
@@ -21,6 +22,26 @@ def test_every_exported_name_resolves_once(module):
     names = module.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+LIBRARY = ["kernels", "discrete", "system", "integrator", "analytic", "problems",
+           "experiments"]
+
+# module attributes that only perfbench/ and the tests read
+HARNESS_ONLY = ["convolve_rhs_direct", "DEFAULT_BLOW_UP_THRESHOLD", "FAST_CONV_MIN_N",
+                "MAX_N_HALF", "TrajectoryStack", "run_single"]
+
+
+def test_package_exports_each_library_modules_names_in_order():
+    modules = [importlib.import_module(f"nlwave.{name}") for name in LIBRARY]
+    assert nlwave.__all__ == ["BACKEND", "__version__"] + [
+        name for module in modules for name in module.__all__]
+
+
+def test_harness_only_names_are_attributes_but_not_exported():
+    exported = {name for module in MODULES for name in module.__all__}
+    assert exported.isdisjoint(HARNESS_ONLY)
+    assert all(any(hasattr(module, name) for module in MODULES) for name in HARNESS_ONLY)
 
 
 def test_star_import():

@@ -28,6 +28,7 @@ from nlwave.system import (
     _fft_length,
     convolve_rhs_direct,
 )
+from oracles import boundary_flux
 
 
 def rhs_oracle(stencil, h, n, g):
@@ -51,7 +52,7 @@ def is_5_smooth(m):
 
 @st.composite
 def even_systems(draw):
-    """A system of an even kernel, a tail or a table evaluated at |x|, and a
+    """An even kernel, a tail or a table mirrored about 0, its system and a
     state seed; N from 1 to 700 and every fast_mode."""
     n = draw(st.integers(1, 700))
     if draw(st.booleans()):  # a tail Re(a e^{lambda |x|}) with h |Re lambda| <= 8
@@ -59,18 +60,53 @@ def even_systems(draw):
         lam = complex(-draw(st.floats(0.01, 10.0)), draw(st.floats(-10.0, 10.0)))
         kernel = Kernel(tail=(a, lam))
         h = draw(st.floats(1e-3, 8.0)) / -lam.real
-    else:  # np.interp of a mirrored table is even only to rounding, so fold x
+    else:  # values[0] at 0, values[1:] at xs and at -xs
         xs = np.sort(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6, unique=True)))
-        values = draw(st.lists(st.integers(-20, 20), min_size=xs.size + 1,
-                               max_size=xs.size + 1))
-        table = tabulated_kernel(np.r_[0.0, xs], np.divide(values, 10))
-        kernel = Kernel(evaluate=lambda x: table.evaluate(np.abs(x)))
+        values = np.divide(draw(st.lists(st.integers(-20, 20), min_size=xs.size + 1,
+                                         max_size=xs.size + 1)), 10)
+        kernel = tabulated_kernel(np.r_[-xs[::-1], 0.0, xs], np.r_[values[:0:-1], values])
         h = draw(st.floats(0.01, 1.0))
     terms = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(-30, 30).map(lambda c: c / 10)),
                           min_size=1, max_size=3))
     mode = draw(st.sampled_from(["auto", "on", "off"]))
-    return (build_system(kernel, Grid(h=h, n_half=n), Nonlinearity(tuple(terms)), fast_mode=mode),
+    return (kernel,
+            build_system(kernel, Grid(h=h, n_half=n), Nonlinearity(tuple(terms)), fast_mode=mode),
             draw(st.integers(0, 2**32 - 1)))
+
+
+def path_terms(system):
+    """Magnitudes of the terms the system's path sums, over lags -2N..2N:
+    h |stencil|, or on the tail path |h c w^k|, whose lag 0 is the -h c g_i
+    both prefix sums carry."""
+    n, h = system.grid.n_half, system.grid.h
+    if system.convolution != "tail":
+        return h * np.abs(system.stencil)
+    a, lam = system.tail
+    lags = np.abs(np.arange(-2 * n, 2 * n + 1))
+    return abs(a * np.sinh(lam * h)) * np.exp(lam.real * h * lags)
+
+
+def sampled_terms(system):
+    """path_terms, or for a tail kernel a bound that also covers sampling
+    beta = Re(a e^{lambda |x|}): exp rounds by eps |lambda x|, so lag k's
+    samples are good to eps |a| e^{Re lambda (|k|-1) h} (1 + |lambda| (|k|+1) h).
+    The tail path, the sampled stencil and the closed-form flux then all sum
+    terms within it."""
+    if system.tail is None:
+        return path_terms(system)
+    n, h = system.grid.n_half, system.grid.h
+    a, lam = system.tail
+    lags = np.abs(np.arange(-2 * n, 2 * n + 1))
+    return abs(a) * np.exp(lam.real * h * (lags - 1)) * (1 + abs(lam) * h * (lags + 1))
+
+
+def random_state(system, seed):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, system.grid.node_count)
+
+
+# the even-kernel properties: deterministic, and nothing written to the checkout
+even_kernel_property = settings(max_examples=200, derandomize=True, database=None,
+                                deadline=None)
 
 
 class TestNonlinearity:
@@ -384,26 +420,47 @@ class TestRhs:
         with pytest.raises(ValueError):
             system.rhs_values(v[:, :-1])
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @even_kernel_property
     @given(even_systems())
     def test_even_kernel_rhs_is_skew(self, case):
         # an even kernel's stencil is odd, so sum_i f(v_i) rhs_i = 0 on every
-        # path, up to rounding of the terms the path sums: h |stencil|, or on
-        # the tail path |h c w^k|, whose lag 0 is the -h c g_i both sums carry.
-        # An FFT rounds each entry by the largest, hence the max; a product of
-        # norms would underflow for a tiny kernel
-        system, seed = case
-        n, h = system.grid.n_half, system.grid.h
-        v = np.random.default_rng(seed).uniform(-1.0, 1.0, system.grid.node_count)
+        # path, up to rounding of the terms the path sums.  An FFT rounds each
+        # entry by the largest, hence the max; a product of norms would
+        # underflow for a tiny kernel
+        _, system, seed = case
+        v = random_state(system, seed)
         g = system.nonlinearity.evaluate_values(v)
-        if system.convolution == "tail":
-            a, lam = system.tail
-            lags = np.abs(np.arange(-2 * n, 2 * n + 1))
-            terms = abs(a * np.sinh(lam * h)) * np.exp(lam.real * h * lags)
-        else:
-            terms = h * np.abs(system.stencil)
-        scale = np.sum(np.abs(g)) * np.max(np.convolve(terms, np.abs(g)))
+        scale = np.sum(np.abs(g)) * np.max(np.convolve(path_terms(system), np.abs(g)))
         assert abs(g @ system.rhs_values(v)) <= 1e-14 * scale
+
+    @settings(even_kernel_property, max_examples=100)  # at 200 the two add 3.5 s
+    @given(even_systems())
+    def test_even_kernel_mass_flux_is_the_boundary_flux(self, case):
+        # the odd stencil telescopes h sum_i rhs_i to the closed-form flux
+        # through the two domain ends, up to rounding of each entry's terms
+        kernel, system, seed = case
+        state = SampledSequence(system.grid, random_state(system, seed))
+        g = np.abs(system.nonlinearity.evaluate_values(state.values))
+        h = system.grid.h
+        scale = h * np.sum(np.convolve(sampled_terms(system), g, mode="valid"))
+        gap = h * np.sum(system.rhs_values(state.values)) - boundary_flux(
+            kernel, system.nonlinearity, state)
+        assert abs(gap) <= 1e-13 * scale
+
+    @settings(even_kernel_property, max_examples=100)
+    @given(even_systems())
+    def test_even_kernel_paths_agree(self, case):
+        # the tail (or the "auto" choice), FFT and direct paths sum the same
+        # terms; a scale that underflows to 0 demands equal outputs
+        kernel, system, seed = case
+        v = random_state(system, seed)
+        g = np.abs(system.nonlinearity.evaluate_values(v))
+        scale = np.max(np.convolve(sampled_terms(system), g))
+        auto, *forced = (build_system(kernel, system.grid, system.nonlinearity,
+                                      fast_mode=mode).rhs_values(v)
+                         for mode in ("auto", "on", "off"))
+        for out in forced:
+            assert np.max(np.abs(out - auto)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("fast_mode", ["on", "off"])
     def test_wrong_state_length_rejected(self, fast_mode):
