@@ -9,6 +9,7 @@ t=0 profile and then frozen.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolitaryWave:
+class SolitaryWave(NamedTuple):
     """Traveling-wave oracle ``u(x,t) = amplitude * sech^(2/p)(width_rate (x - c t - x0))``.
 
     The generalized-BBM family has ``amplitude = ((p+2)(c-1)/2)^(1/p)`` and
@@ -96,8 +96,7 @@ class DecayEnvelope:
             raise ValueError("envelope constant must be positive")
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     holds: bool
     worst_ratio: float
     worst_index: int  # signed grid index of the worst node

@@ -7,10 +7,10 @@ grids one after another; the truncation sweep steps its grids in lockstep as
 one stack, each with its own step-size controller and counts.
 """
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
+class ErrorRecord(NamedTuple):
     """One run's error sample plus cost metadata.
 
     The trajectory's ``accepted_steps``, ``rejected_steps`` and
@@ -181,8 +180,7 @@ def _run_rows(cfg: StudyConfig, grids: list[Grid]):
     )) for traj in trajs]
 
 
-@dataclass(frozen=True)
-class ProfileStudy:
+class ProfileStudy(NamedTuple):
     """Profile-comparison output: snapshots plus the final error record."""
 
     trajectory: Trajectory
@@ -213,28 +211,24 @@ def run_h_refinement(cfg: StudyConfig, h_values) -> list[tuple[ErrorRecord, floa
 
     Each h must divide the domain half-width evenly.  For problems without
     an exact wave, errors are Richardson-style gaps against one extra
-    reference run at half the finest h, compared on shared nodes.  A rate
-    next to a zero error (as at ``t_end = 0``) is undefined, so ``None``.
+    reference run at half the finest h, compared on shared nodes; grids
+    that do not nest in it are refused before any run.  A rate next to a
+    zero error (as at ``t_end = 0``) is undefined, so ``None``.
     """
     grids = cfg.sweep_grids(h_values=h_values)
+    refine = cfg.problem.wave is None and bool(grids)
+    if refine:  # the reference, half the finest h, runs as one more grid
+        grids.append(cfg.grid(h=grids[-1].h / 2.0))
+        # on one half-width a grid's nodes are the reference's exactly when its N divides
+        if any(grids[-1].n_half % grid.n_half for grid in grids):
+            raise ValueError("self-refinement requires nested grids")
     results = [run_single(cfg, g) for g in grids]
+    if refine:
+        ref = results.pop()[0].final
+        results = [(traj, rec._replace(linf_error=float(np.max(np.abs(
+            traj.final.values - ref.values[::ref.grid.n_half // rec.n_half])))))
+            for traj, rec in results]
     records = [rec for _, rec in results]
-
-    if cfg.problem.wave is None:
-        ref_grid = cfg.grid(h=grids[-1].h / 2.0)
-        ref_traj, _ = run_single(cfg, ref_grid)
-        ref = ref_traj.final
-        fixed = []
-        for (traj, rec), grid in zip(results, grids):
-            stride = round(grid.h / ref_grid.h)
-            if stride < 1 or abs(stride * ref_grid.h - grid.h) > 1e-12 * grid.h:
-                raise ValueError("self-refinement requires nested grids")
-            shared = ref.values[::stride]
-            if shared.size != grid.node_count:
-                raise ValueError("self-refinement requires nested grids")
-            err = float(np.max(np.abs(traj.final.values - shared)))
-            fixed.append(dataclasses.replace(rec, linf_error=err))
-        records = fixed
 
     out: list[tuple[ErrorRecord, float | None]] = []
     prev = None
@@ -246,8 +240,7 @@ def run_h_refinement(cfg: StudyConfig, h_values) -> list[tuple[ErrorRecord, floa
     return out
 
 
-@dataclass(frozen=True)
-class TruncationRecord:
+class TruncationRecord(NamedTuple):
     """Error record plus the boundary-band diagnostics of one domain size."""
 
     record: ErrorRecord

@@ -27,6 +27,7 @@ and counts (Hairer, Norsett and Wanner, Sec. II.4).
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +108,7 @@ class IntegratorConfig:
             raise ValueError("max_steps must be at least 1")
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(NamedTuple):
     """States recorded at snapshot times, plus step statistics."""
 
     times: tuple[float, ...]

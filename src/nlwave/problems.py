@@ -1,7 +1,6 @@
 """Ready-made problem bundles: kernel, nonlinearity and exact-solution oracle."""
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .analytic import SolitaryWave, bbm_solitary, rosenau_solitary
 from .kernels import Kernel, bbm_kernel, rosenau_kernel
@@ -10,8 +9,7 @@ from .system import Nonlinearity
 __all__ = ["Problem", "bbm_problem", "rosenau_problem", "custom_problem"]
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """Everything needed to set up a run of one equation.
 
     ``wave`` is the exact solitary-wave oracle, or None for kernels without

@@ -1,6 +1,33 @@
-"""Closed-form oracles of the truncated system, shared by the test modules."""
+"""Closed-form oracles of the truncated system and the even kernels and
+polynomials the property tests draw, shared by the test modules."""
+
+import math
 
 import numpy as np
+from hypothesis import strategies as st
+
+from nlwave import Kernel, Nonlinearity, tabulated_kernel
+
+
+@st.composite
+def even_kernels(draw):
+    """An even kernel and a mesh size h: a tail Re(a e^{lambda |x|}) with
+    h |Re lambda| <= 8, or a table mirrored about 0."""
+    if draw(st.booleans()):
+        a = draw(st.floats(0.1, 2.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        lam = complex(-draw(st.floats(0.01, 10.0)), draw(st.floats(-10.0, 10.0)))
+        return Kernel(tail=(a, lam)), draw(st.floats(1e-3, 8.0)) / -lam.real
+    # values[0] at 0, values[1:] at xs and at -xs
+    xs = np.sort(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6, unique=True)))
+    values = np.divide(draw(st.lists(st.integers(-20, 20), min_size=xs.size + 1,
+                                     max_size=xs.size + 1)), 10)
+    kernel = tabulated_kernel(np.r_[-xs[::-1], 0.0, xs], np.r_[values[:0:-1], values])
+    return kernel, draw(st.floats(0.01, 1.0))
+
+
+# f(u) = sum of 1-3 terms c u^p with p = 1..5 and |c| <= 3
+nonlinearities = st.lists(st.tuples(st.integers(1, 5), st.integers(-30, 30).map(lambda c: c / 10)),
+                          min_size=1, max_size=3).map(lambda terms: Nonlinearity(tuple(terms)))
 
 
 def boundary_flux(kernel, nonlinearity, state):

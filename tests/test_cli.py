@@ -386,17 +386,20 @@ class TestValidation:
         "truncation-without-n_list": ("truncation", dict(n_list=""),
                                       "truncation needs a [study] n_list"),
         "decay-without-rate": ("decay", dict(rate=""), "decay needs a [decay] section"),
-        # the self-refinement reference at h = 0.1 shares no nodes with h = 0.25
+        # the self-refinement reference at h = 0.1 lacks nodes of h = 0.25
         "custom-converge-not-nested": ("converge", dict(
             kernel=TRIANGLE_KERNEL, equation=CUSTOM_EQUATION, half=1.0,
             h_list="0.25, 0.2", t_end=0.1), "self-refinement requires nested grids"),
     }
 
     @pytest.mark.parametrize("case", sorted(REFUSED_BY_COMMAND))
-    def test_refused_by_the_command_without_output(self, tmp_path, capsys, case):
+    def test_refused_by_the_command_without_output(self, tmp_path, capsys, monkeypatch,
+                                                   case):
         command, overrides, message = self.REFUSED_BY_COMMAND[case]
         cfg, _ = write_config(tmp_path, **overrides)
         load_run_config(cfg)
+        # refused before anything integrates
+        monkeypatch.setattr(nlwave.experiments, "integrate", None)
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("nlwave: config error: ") and message in err

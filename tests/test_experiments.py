@@ -174,6 +174,20 @@ class TestHRefinement:
         assert all(np.isfinite(errors))
         assert errors[1] < errors[0]
 
+    def test_non_nested_grids_refused_before_any_run(self, monkeypatch):
+        # half-width 1: h = 0.25 and 0.2 give N = 4 and 5, the reference at
+        # h = 0.1 has N = 10, and 4 does not divide it
+        def integrate_refused(*args, **kwargs):
+            raise AssertionError("integrated a sweep that is refused")
+
+        monkeypatch.setattr(experiments, "integrate", integrate_refused)
+        kernel = tabulated_kernel(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+        problem = custom_problem(kernel, Nonlinearity(((1, 1.0),)),
+                                 initial_profile=lambda x: np.exp(-(x**2)))
+        cfg = StudyConfig(problem=problem, domain_half_width=1.0, h=0.25, t_end=0.1)
+        with pytest.raises(ValueError, match="self-refinement requires nested grids"):
+            run_h_refinement(cfg, [0.25, 0.2])
+
 
 class TestTruncationStudy:
     def test_error_decreases_with_domain(self):

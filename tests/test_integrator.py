@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.integrate._ivp import dop853_coefficients as dop853
 from scipy.linalg import expm
 
@@ -27,6 +29,7 @@ from nlwave import (
     tabulated_kernel,
 )
 from nlwave.integrator import _A, _B, _E3, _E5, TrajectoryStack, _initial_steps
+from oracles import even_kernels, nonlinearities
 
 
 def decay_stub(n_half=1, h=1.0, rate=1.0):
@@ -483,6 +486,43 @@ class TestStack:
                 assert state.grid == init.grid
                 np.testing.assert_allclose(state.values, own_state.values,
                                            rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_random_stack_rows_match_their_own_runs(self, data):
+        # an even kernel, whose widest grid may span several tail blocks;
+        # 2-4 grids, a polynomial f and random states of amplitude <= 0.5
+        draw = data.draw
+        kernel, h = draw(even_kernels())
+        f = draw(nonlinearities)
+        ns = sorted(draw(st.lists(st.integers(1, 120), min_size=2, max_size=4, unique=True)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        inits = [SampledSequence(Grid(h, n), rng.uniform(-0.5, 0.5, 2 * n + 1)) for n in ns]
+        t_end = draw(st.floats(0.4, 0.6))
+        snapshots = [draw(st.floats(0.1, 0.9)) * t_end]
+        owns = []
+        for init in inits:
+            try:
+                owns.append(integrate(build_system(kernel, init.grid, f), init, t_end, snapshots))
+            except (BlowUpError, StepFailureError):  # the draw blows up before t_end
+                reject()
+        stack = integrate(build_system(kernel, inits[-1].grid, f), inits, t_end, snapshots)
+        for traj, own, init in zip(stack, owns, inits):
+            assert (traj.accepted_steps, traj.rejected_steps, traj.rhs_calls) == (
+                own.accepted_steps, own.rejected_steps, own.rhs_calls)
+            assert traj.rhs_calls == (
+                12 * traj.accepted_steps + 11 * traj.rejected_steps + 1)
+            assert traj.times == own.times
+            scale = max(np.max(np.abs(state.values)) for state in own.states)
+            if kernel.tail is not None:
+                # both tail sums carry the lag-0 term h c g_i, which a row and its
+                # own run, summed in other blocks and shapes, round apart
+                a, lam = kernel.tail
+                scale *= max(1.0, abs(a * np.sinh(lam * h)))
+            for state, own_state in zip(traj.states, own.states):
+                assert state.grid == init.grid
+                np.testing.assert_allclose(state.values, own_state.values,
+                                           rtol=1e-12, atol=1e-12 * scale)
 
     def test_blow_up_in_one_row_names_its_grid(self):
         # u' = +u^2 from 3 passes 1e3 before t = 2, from 0.1 it does not

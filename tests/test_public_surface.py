@@ -1,7 +1,9 @@
 """The package's public names: the package exports each library module's
 ``__all__``, every entry resolves, none repeats, and a star import succeeds;
+records that check nothing are NamedTuples and every dataclass validates;
 the command line imports no SciPy."""
 
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -42,6 +44,38 @@ def test_harness_only_names_are_attributes_but_not_exported():
     exported = {name for module in MODULES for name in module.__all__}
     assert exported.isdisjoint(HARNESS_ONLY)
     assert all(any(hasattr(module, name) for module in MODULES) for name in HARNESS_ONLY)
+
+
+# the records that check nothing, with their fields in order
+RECORDS = {
+    "Trajectory": ("times", "states", "accepted_steps", "rejected_steps", "rhs_calls"),
+    "ErrorRecord": ("h", "n_half", "t", "linf_error", "accepted_steps", "rejected_steps",
+                    "rhs_calls", "wall_time", "fft_length", "convolution"),
+    "ProfileStudy": ("trajectory", "record", "mass_initial", "mass_final"),
+    "TruncationRecord": ("record", "domain_half_width", "delta", "eps_delta"),
+    "SolitaryWave": ("sech_power", "speed", "x0", "amplitude", "width_rate"),
+    "DecayReport": ("holds", "worst_ratio", "worst_index"),
+    "Problem": ("name", "kernel", "nonlinearity", "wave", "initial_profile"),
+}
+
+
+def classes(predicate):
+    return {name: obj for module in MODULES for name, obj in vars(module).items()
+            if isinstance(obj, type) and predicate(obj)}
+
+
+def test_records_are_named_tuples_with_their_fields_in_order():
+    records = classes(lambda cls: issubclass(cls, tuple) and hasattr(cls, "_fields"))
+    assert {name: cls._fields for name, cls in records.items()} == RECORDS
+    assert {name: cls._field_defaults for name, cls in records.items()
+            if cls._field_defaults} == {"Problem": {"initial_profile": None}}
+
+
+def test_every_dataclass_validates():
+    # a class that checks nothing is a record; a dataclass checks in __post_init__
+    found = classes(dataclasses.is_dataclass)
+    assert "RunConfig" in found  # which inherits StudyConfig's
+    assert [name for name, cls in found.items() if not hasattr(cls, "__post_init__")] == []
 
 
 def test_star_import():

@@ -28,7 +28,7 @@ from nlwave.system import (
     _fft_length,
     convolve_rhs_direct,
 )
-from oracles import boundary_flux
+from oracles import boundary_flux, even_kernels, nonlinearities
 
 
 def rhs_oracle(stencil, h, n, g):
@@ -55,22 +55,11 @@ def even_systems(draw):
     """An even kernel, a tail or a table mirrored about 0, its system and a
     state seed; N from 1 to 700 and every fast_mode."""
     n = draw(st.integers(1, 700))
-    if draw(st.booleans()):  # a tail Re(a e^{lambda |x|}) with h |Re lambda| <= 8
-        a = draw(st.floats(0.1, 2.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
-        lam = complex(-draw(st.floats(0.01, 10.0)), draw(st.floats(-10.0, 10.0)))
-        kernel = Kernel(tail=(a, lam))
-        h = draw(st.floats(1e-3, 8.0)) / -lam.real
-    else:  # values[0] at 0, values[1:] at xs and at -xs
-        xs = np.sort(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6, unique=True)))
-        values = np.divide(draw(st.lists(st.integers(-20, 20), min_size=xs.size + 1,
-                                         max_size=xs.size + 1)), 10)
-        kernel = tabulated_kernel(np.r_[-xs[::-1], 0.0, xs], np.r_[values[:0:-1], values])
-        h = draw(st.floats(0.01, 1.0))
-    terms = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(-30, 30).map(lambda c: c / 10)),
-                          min_size=1, max_size=3))
+    kernel, h = draw(even_kernels())
+    f = draw(nonlinearities)
     mode = draw(st.sampled_from(["auto", "on", "off"]))
     return (kernel,
-            build_system(kernel, Grid(h=h, n_half=n), Nonlinearity(tuple(terms)), fast_mode=mode),
+            build_system(kernel, Grid(h=h, n_half=n), f, fast_mode=mode),
             draw(st.integers(0, 2**32 - 1)))
 
 
