@@ -62,7 +62,8 @@ def evaluate_solitary(wave: SolitaryWave, x, t: float):
     """Exact solitary-wave value(s) at position(s) x and time t."""
     # (x - x0) first, so translating x0 and x together is bit-exact
     xi = wave.width_rate * ((np.asarray(x, dtype=float) - wave.x0) - wave.speed * t)
-    sech = 1.0 / np.cosh(xi)
+    with np.errstate(over="ignore"):  # cosh overflows past |xi| = 710, where sech is 0
+        sech = 1.0 / np.cosh(xi)
     out = wave.amplitude * sech ** wave.sech_power
     if out.ndim == 0:
         return float(out)
@@ -92,8 +93,8 @@ class DecayEnvelope:
             raise ValueError("envelope rate must lie strictly in (0, 1)")
         if not self.scale > 0:
             raise ValueError("envelope scale must be positive")
-        if not self.constant > 0:
-            raise ValueError("envelope constant must be positive")
+        if not 0 < self.constant < math.inf:
+            raise ValueError("envelope constant must be positive and finite")
 
 
 class DecayReport(NamedTuple):
@@ -104,8 +105,14 @@ class DecayReport(NamedTuple):
 
 def _envelope_numerators(state: SampledSequence, rate: float, scale: float):
     # |v_i| * exp(+rate |x_i| / scale); calibration and checking share this
-    # expression so that the calibration state itself yields ratio 1.0.
-    return np.abs(state.values) * np.exp(rate * np.abs(state.grid.nodes) / scale)
+    # expression so that the calibration state itself yields ratio 1.0.  Past
+    # exp's overflow at 709.78 it is exp(log |v_i| + rate |x_i| / scale).
+    exponent = rate * np.abs(state.grid.nodes) / scale
+    far = exponent > 709.0
+    numerators = np.abs(state.values) * np.exp(np.where(far, 0.0, exponent))
+    with np.errstate(divide="ignore"):  # log 0 = -inf, whose exp is 0
+        numerators[far] = np.exp(np.log(numerators[far]) + exponent[far])
+    return numerators
 
 
 def check_decay(state: SampledSequence, envelope: DecayEnvelope) -> DecayReport:

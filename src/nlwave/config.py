@@ -54,6 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import DecayEnvelope
+from .discrete import _whole
 from .experiments import IntegratorConfig, StudyConfig
 from .kernels import kernel_from_file
 from .problems import Problem, bbm_problem, custom_problem, rosenau_problem
@@ -84,15 +85,8 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(s) for s in raw.split(",") if s.strip())
 
 
-def _whole(raw: str) -> int:
-    value = float(raw)
-    if value != int(value):
-        raise ValueError(f"expected a whole number, got {raw!r}")
-    return int(value)
-
-
 def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(_whole(s) for s in raw.split(",") if s.strip())
+    return tuple(_whole(float(s), "N") for s in raw.split(",") if s.strip())
 
 
 def _nonlinearity(raw: str) -> Nonlinearity:
@@ -143,7 +137,7 @@ _KEYS = {
     "equation": {"kind": None, "blow_up_threshold": float},
     "grid": {"domain_half_width": float, "h": float},
     "time": {"t_end": float, "snapshots": _float_list},
-    "integrator": {"rel_tol": float, "abs_tol": float, "max_steps": _whole},
+    "integrator": {"rel_tol": float, "abs_tol": float, "max_steps": float},
     "study": {"h_list": _float_list, "n_list": _int_list},
     "decay": {"rate": float},
     "output": {"dir": str},

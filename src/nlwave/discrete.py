@@ -19,6 +19,16 @@ __all__ = ["Grid", "SampledSequence", "restrict"]
 MAX_N_HALF = 2**24
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an ``int``, refusing one that is not a whole number."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, a string, nan or inf
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform symmetric grid ``x_i = i h`` for ``-N <= i <= N``."""
@@ -29,6 +39,7 @@ class Grid:
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError("mesh size h must be positive and finite")
+        object.__setattr__(self, "n_half", _whole(self.n_half, "grid half-width N"))
         if not 1 <= self.n_half <= MAX_N_HALF:
             raise ValueError(f"grid half-width N must lie in [1, {MAX_N_HALF}]")
 

@@ -27,7 +27,6 @@ __all__ = [
     "TruncationRecord",
     "linf_error",
     "convergence_rate",
-    "fit_observed_order",
     "run_profile_study",
     "run_h_refinement",
     "run_truncation_study",
@@ -71,23 +70,6 @@ def convergence_rate(e1: ErrorRecord, e2: ErrorRecord) -> float:
     if e1.linf_error == 0.0 or e2.linf_error == 0.0:
         raise ValueError("zero error: the observed order is undefined")
     return math.log(e1.linf_error / e2.linf_error) / math.log(e1.h / e2.h)
-
-
-def fit_observed_order(hs, errors, noise_floor: float = 0.0) -> float:
-    """Least-squares slope of log error against log h.
-
-    Points at or below ``noise_floor`` are discarded: they measure rounding,
-    not truncation.  If fewer than two points survive, the error never rose
-    above the floor on the whole refinement range and the observed order is
-    reported as ``inf`` (no measurable degradation).
-    """
-    hs = np.asarray(hs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    keep = errors > noise_floor
-    if int(np.sum(keep)) < 2:
-        return math.inf
-    slope = np.polyfit(np.log(hs[keep]), np.log(errors[keep]), 1)[0]
-    return float(slope)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import SampledSequence
+from .discrete import SampledSequence, _whole
 from .system import BlowUpError, TruncatedSystem
 
 __all__ = ["IntegratorConfig", "Trajectory", "StepFailureError", "integrate"]
@@ -104,6 +104,7 @@ class IntegratorConfig:
             tol = getattr(self, name)
             if not (0.0 < tol < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1)")
+        object.__setattr__(self, "max_steps", _whole(self.max_steps, "max_steps"))
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 

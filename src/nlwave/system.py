@@ -163,10 +163,9 @@ class TruncatedSystem:
                 raise ValueError(f"h |Re lambda| = {-lam.real * h:g} > 8: the mesh is too coarse")
             path, c = "tail", a * np.sinh(lam * h) / h  # a (w - 1/w) / 2h without cancelling
             powers = np.exp(lam * h) ** np.arange(2 * n + 1)  # w^j, j = 0..2N
-            # Even blocks, weights within 1e200, leave 1e108 of headroom for |f(v)| past the
-            # blow-up threshold; a carry's own carry, damped by |w|^span < 1e-100, is dropped.
-            blocks = -(-powers.size // np.count_nonzero(abs(powers) > 1e-200))
-            span = -(-powers.size // blocks)
+            # A span of all weights within 1e200 (1e108 of headroom for |f(v)|), set by h and
+            # lambda alone as in a stack row's own run; a carry's carry, times <= 1e-200, drops.
+            span = np.count_nonzero(abs(powers) > 1e-200)
             powers = powers[np.arange(powers.size) % span]  # w^(j mod span)
             object.__setattr__(self, "_tail_weights", (  # broadcast over states
                 np.stack((1.0 / powers, powers))[:, None],

@@ -1,5 +1,6 @@
-"""Closed-form oracles of the truncated system and the even kernels and
-polynomials the property tests draw, shared by the test modules."""
+"""Closed-form oracles of the truncated system, the even kernels and
+polynomials the property tests draw, and the observed-order fit, shared by
+the test modules."""
 
 import math
 
@@ -46,3 +47,20 @@ def boundary_flux(kernel, nonlinearity, state):
                + (beta(lags * h) - beta((lags - 2 * n) * h)))
     f = nonlinearity.evaluate_values(state.values)
     return -0.5 * h * float(np.sum(f * weights))
+
+
+def fit_observed_order(hs, errors, noise_floor: float = 0.0) -> float:
+    """Least-squares slope of log error against log h.
+
+    Points at or below ``noise_floor`` are discarded: they measure rounding,
+    not truncation.  If fewer than two points survive, the error never rose
+    above the floor on the whole refinement range and the observed order is
+    reported as ``inf`` (no measurable degradation).
+    """
+    hs = np.asarray(hs, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    keep = errors > noise_floor
+    if int(np.sum(keep)) < 2:
+        return math.inf
+    slope = np.polyfit(np.log(hs[keep]), np.log(errors[keep]), 1)[0]
+    return float(slope)

@@ -41,7 +41,6 @@ from nlwave import (
     check_decay,
     custom_problem,
     evaluate_solitary,
-    fit_observed_order,
     integrate,
     plateau_onset,
     restrict,
@@ -54,7 +53,7 @@ from nlwave import (
 from nlwave.experiments import run_single
 from nlwave.problems import bbm_problem, rosenau_problem
 from nlwave.system import FAST_CONV_MIN_N
-from oracles import boundary_flux
+from oracles import boundary_flux, fit_observed_order
 
 RATE_WINDOW = (1.8, 2.2)
 SQRT2 = math.sqrt(2.0)

@@ -1,6 +1,7 @@
 """Solitary-wave oracles and decay-envelope checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ class TestSolitaryWaves:
         w = bbm_solitary(p=2, c=2.0)
         assert w.amplitude == pytest.approx(math.sqrt(2.0))
         assert w.width_rate == pytest.approx(math.sqrt(0.5))
+
+    def test_far_field_is_zero_without_a_warning(self):
+        # cosh overflows past |xi| = 710, where sech is 0: no RuntimeWarning,
+        # and every value as before
+        x = np.array([-3000.0, -2.0, 0.0, 1.5, 3000.0])
+        for w in (bbm_solitary(), rosenau_solitary()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = evaluate_solitary(w, x, 0.0)
+                assert evaluate_solitary(w, 3000.0, 0.0) == 0.0
+            assert out[0] == out[-1] == 0.0
+            np.testing.assert_array_equal(
+                out[1:-1], w.amplitude / np.cosh(w.width_rate * x[1:-1]) ** w.sech_power)
 
     def test_speed_must_exceed_one(self):
         with pytest.raises(ValueError):
@@ -100,6 +114,15 @@ class TestDecayEnvelope:
             with pytest.raises(ValueError):
                 DecayEnvelope(rate=bad)
         DecayEnvelope(rate=0.9)  # boundary-interior value is fine
+
+    def test_constant_too_large_for_a_float_is_refused(self):
+        # |v| e^{0.5 |x|} at |x| = 1500 is e^{750} times |v|: past the
+        # largest float, so no finite envelope holds on the state
+        with pytest.raises(ValueError, match="finite"):
+            DecayEnvelope(rate=0.5, constant=math.inf)
+        g = Grid(h=1.0, n_half=1500)
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            calibrate_envelope(SampledSequence(g, np.full(g.node_count, 1e-3)), 0.5)
 
     def test_zero_state_holds(self):
         g = Grid(h=0.5, n_half=10)

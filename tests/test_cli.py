@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import re
 import subprocess
@@ -588,6 +589,25 @@ class TestDecay:
                                         + 11 * summary["rejected_steps"] + 1)
         assert summary["fft_length"] is None  # bbm takes the tail path
         assert summary["convolution"] == "tail"
+
+    def test_wide_domain_ratios_are_finite(self, tmp_path):
+        # on half-width 1000, exp(0.9 |x|) overflows past |x| = 789; the
+        # ratios must stay finite and summary.json strict JSON
+        cfg, outdir = write_config(tmp_path, half=1000.0, t_end=1.0, snapshots="0, 1",
+                                   rate=0.9, equation=BBM_EQUATION.replace("-3.0", "-18.0"))
+        assert main(["decay", "--config", cfg]) == 0
+        _, rows = read_csv(os.path.join(outdir, "decay.csv"))
+        assert rows[0][1:] == ["1.0", "-1000.0", "true"]
+        assert math.isfinite(float(rows[1][1])) and rows[1][3] in ("true", "false")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        with open(os.path.join(outdir, "summary.json")) as fh:
+            summary = json.load(fh, parse_constant=refuse)
+        # the t=0 wave 1.2 sech^2((x + 18) / 3) is 4.8 e^{-2 |x + 18| / 3}
+        # out there, so the constant is its numerator at x = -1000
+        assert math.log(summary["constant"]) == pytest.approx(
+            math.log(4.8) - 2 * 982 / 3 + 0.9 * 1000, rel=1e-13)
 
     def test_zero_initial_data_custom(self, tmp_path):
         kfile = tmp_path / "kernel.txt"

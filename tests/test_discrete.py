@@ -17,10 +17,10 @@ from nlwave import (
     build_system,
     restrict,
     rosenau_kernel,
-    fit_observed_order,
     tabulated_kernel,
 )
 from nlwave.discrete import MAX_N_HALF
+from oracles import fit_observed_order
 
 
 def convolve(w, v, h, fast_mode="auto"):
@@ -82,6 +82,17 @@ class TestGrid:
         assert Grid(h=0.5, n_half=MAX_N_HALF).node_count == 2 * MAX_N_HALF + 1
         with pytest.raises(ValueError):
             Grid(h=0.5, n_half=MAX_N_HALF + 1)
+
+    def test_half_width_is_a_whole_number(self):
+        # a fractional N would put nodes at half-integers and fail only later,
+        # where integrate sizes its arrays
+        for n in (2.5, 1.5, math.nan, math.inf, None, "2"):
+            with pytest.raises(ValueError, match="whole number"):
+                Grid(h=0.5, n_half=n)
+        for n in (2.0, np.int64(2), np.float64(2.0)):
+            g = Grid(h=0.5, n_half=n)
+            assert type(g.n_half) is int and type(g.node_count) is int
+            assert g == Grid(h=0.5, n_half=2) and g.node_count == 5
 
 
 class TestSampledSequence:

@@ -15,7 +15,6 @@ from nlwave import (
     convergence_rate,
     custom_problem,
     evaluate_solitary,
-    fit_observed_order,
     initial_data,
     integrate,
     linf_error,
@@ -29,6 +28,7 @@ from nlwave import experiments
 from nlwave.config import load_run_config
 from nlwave.experiments import TruncationRecord, run_single
 from nlwave.problems import bbm_problem, rosenau_problem
+from oracles import fit_observed_order
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 

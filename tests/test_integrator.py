@@ -208,6 +208,10 @@ class TestConfigValidation:
     def test_step_limits(self):
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
+        with pytest.raises(ValueError, match="whole number"):
+            IntegratorConfig(max_steps=1.5)
+        for steps in (np.int64(4), 4.0):
+            assert type(IntegratorConfig(max_steps=steps).max_steps) is int
 
 
 class TestBasicContracts:
@@ -467,19 +471,24 @@ class TestStack:
         assert stack.rejected_steps == sum(t.rejected_steps for t in stack)
 
     def test_rows_of_a_multi_block_tail_grid_match_their_own_runs(self):
-        # at h = 2 a bbm tail block holds at most 231 nodes: the N = 300 grid
-        # runs in 3 blocks, N = 120 in 2 and N = 50 in one.  A profile of
+        # at h = 2 a bbm tail block holds 231 nodes on every grid: the N = 300
+        # grid runs in 3 blocks, N = 120 in 2 and N = 50 in one.  A profile of
         # size 1 everywhere makes the carries and the narrower rows' zeroed
         # padding count at every block boundary and row edge
         problem = bbm_problem()
         grids = [Grid(2.0, n) for n in (50, 120, 300)]
         inits = [SampledSequence(g, 0.5 * np.sin(0.3 * g.nodes) + 0.2 * np.cos(0.11 * g.nodes))
                  for g in grids]
-        system = build_system(problem.kernel, grids[-1], problem.nonlinearity)
-        stack = integrate(system, inits, 4.0, snapshots=[2.0])
-        for traj, init in zip(stack, inits):
-            own = integrate(build_system(problem.kernel, init.grid, problem.nonlinearity),
-                            init, 4.0, snapshots=[2.0])
+        systems = [build_system(problem.kernel, g, problem.nonlinearity) for g in grids]
+        # a row, left-aligned and padded with zeros, sums in its own run's blocks
+        rows = np.zeros((len(inits), grids[-1].node_count))
+        for row, init in zip(rows, inits):
+            row[:init.values.size] = init.values
+        for rhs, init, own_system in zip(systems[-1].rhs_values(rows), inits, systems):
+            assert np.array_equal(rhs[:init.values.size], own_system.rhs_values(init.values))
+        stack = integrate(systems[-1], inits, 4.0, snapshots=[2.0])
+        for traj, init, own_system in zip(stack, inits, systems):
+            own = integrate(own_system, init, 4.0, snapshots=[2.0])
             assert (traj.accepted_steps, traj.rejected_steps, traj.rhs_calls) == (
                 own.accepted_steps, own.rejected_steps, own.rhs_calls)
             for state, own_state in zip(traj.states, own.states):
@@ -515,8 +524,10 @@ class TestStack:
             assert traj.times == own.times
             scale = max(np.max(np.abs(state.values)) for state in own.states)
             if kernel.tail is not None:
-                # both tail sums carry the lag-0 term h c g_i, which a row and its
-                # own run, summed in other blocks and shapes, round apart
+                # a row's right-hand sides are its own run's bit for bit, but the
+                # integrator's stage products over rows round with the stack's
+                # width, and the tail sums' lag-0 weight h c carries that
+                # rounding into the next stage
                 a, lam = kernel.tail
                 scale *= max(1.0, abs(a * np.sinh(lam * h)))
             for state, own_state in zip(traj.states, own.states):
