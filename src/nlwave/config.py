@@ -220,7 +220,7 @@ def load_run_config(path: str) -> RunConfig:
         for grid in {replace(g, n_half=1)  # one 3-node system per h checks it
                      for g in (cfg.grid(), *cfg.sweep_grids(cfg.h_list, cfg.n_list))}:
             build_system(problem.kernel, grid, problem.nonlinearity,
-                         blow_up_threshold=cfg.blow_up_threshold, fast_mode=cfg.fast_mode)
+                         blow_up_threshold=cfg.blow_up_threshold)
     except ConfigError:
         raise
     except (ValueError, OverflowError, configparser.Error) as exc:

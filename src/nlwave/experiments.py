@@ -72,6 +72,17 @@ def convergence_rate(e1: ErrorRecord, e2: ErrorRecord) -> float:
     return math.log(e1.linf_error / e2.linf_error) / math.log(e1.h / e2.h)
 
 
+def _self_refined_rate(e1: ErrorRecord, e2: ErrorRecord, h_ref: float) -> float | None:
+    # gaps to a reference at h_ref go as C (h^p - h_ref^p), whose ratio rises in p from 1:
+    # bisect (h1^p - h_ref^p) / (h2^p - h_ref^p) = E1/E2, with no root at E1/E2 <= 1
+    la, lb, target = math.log(e1.h / h_ref), math.log(e2.h / h_ref), e1.linf_error / e2.linf_error
+    lo, hi = -710.0, 709.0  # q = p la, where e^q stays a float and no midpoint is 0
+    for _ in range(100):
+        q = (lo + hi) / 2
+        lo, hi = (q, hi) if math.expm1(q) / math.expm1(q * lb / la) < target else (lo, q)
+    return (lo + hi) / 2 / la if target > 1 else None
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Shared run parameters for the study protocols.
@@ -191,11 +202,11 @@ def run_profile_study(cfg: StudyConfig) -> ProfileStudy:
 def run_h_refinement(cfg: StudyConfig, h_values) -> list[tuple[ErrorRecord, float | None]]:
     """Fixed-domain error sweep over decreasing mesh sizes.
 
-    Each h must divide the domain half-width evenly.  For problems without
-    an exact wave, errors are Richardson-style gaps against one extra
-    reference run at half the finest h, compared on shared nodes; grids
-    that do not nest in it are refused before any run.  A rate next to a
-    zero error (as at ``t_end = 0``) is undefined, so ``None``.
+    Each h must divide the domain half-width evenly.  Without an exact wave,
+    errors are gaps ``C (h^p - h_ref^p)`` to one more run at ``h_ref``, half
+    the finest h, on shared nodes (grids that do not nest in it are refused
+    before any run), and rates solve for p, ``None`` unless the error falls.
+    A rate next to a zero error (as at ``t_end = 0``) is undefined: ``None``.
     """
     grids = cfg.sweep_grids(h_values=h_values)
     refine = cfg.problem.wave is None and bool(grids)
@@ -216,7 +227,8 @@ def run_h_refinement(cfg: StudyConfig, h_values) -> list[tuple[ErrorRecord, floa
     prev = None
     for rec in records:
         defined = prev is not None and prev.linf_error and rec.linf_error
-        rate = convergence_rate(prev, rec) if defined else None
+        rate = None if not defined else (_self_refined_rate(prev, rec, grids[-1].h) if refine
+                                         else convergence_rate(prev, rec))
         out.append((rec, rate))
         prev = rec
     return out

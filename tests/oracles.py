@@ -1,13 +1,15 @@
-"""Closed-form oracles of the truncated system, the even kernels and
-polynomials the property tests draw, and the observed-order fit, shared by
-the test modules."""
+"""Closed-form oracles of the truncated system, the direct sum every
+convolution path is checked against and a tail kernel's stencil as a table,
+the even kernels and polynomials the property tests draw, and the
+observed-order fit, shared by the test modules."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from nlwave import Kernel, Nonlinearity, tabulated_kernel
+from nlwave import Kernel, Nonlinearity, TruncatedSystem, tabulated_kernel
+from nlwave.system import convolve_rhs_direct
 
 
 @st.composite
@@ -29,6 +31,20 @@ def even_kernels(draw):
 # f(u) = sum of 1-3 terms c u^p with p = 1..5 and |c| <= 3
 nonlinearities = st.lists(st.tuples(st.integers(1, 5), st.integers(-30, 30).map(lambda c: c / 10)),
                           min_size=1, max_size=3).map(lambda terms: Nonlinearity(tuple(terms)))
+
+
+def direct_rhs(system, v):
+    """``-sum_j h stencil_{i-j} f(v_j)`` of a state or a stack, summed directly
+    over the system's sampled stencil whatever path the system takes."""
+    g = system.nonlinearity.evaluate_values(v)
+    return convolve_rhs_direct(system.stencil, g, system.grid.h)
+
+
+def as_table(system):
+    """The system's sampled stencil with no tail, as a table's system: the
+    direct path below FAST_CONV_MIN_N and the FFT path from it upward."""
+    return TruncatedSystem(grid=system.grid, stencil=system.stencil,
+                           nonlinearity=system.nonlinearity)
 
 
 def boundary_flux(kernel, nonlinearity, state):

@@ -53,7 +53,7 @@ from nlwave import (
 from nlwave.experiments import run_single
 from nlwave.problems import bbm_problem, rosenau_problem
 from nlwave.system import FAST_CONV_MIN_N
-from oracles import boundary_flux, fit_observed_order
+from oracles import as_table, boundary_flux, direct_rhs, fit_observed_order
 
 RATE_WINDOW = (1.8, 2.2)
 SQRT2 = math.sqrt(2.0)
@@ -329,43 +329,46 @@ def test_criterion_05_quadrature_orders():
 
 
 def test_criterion_06_convolution_path_equivalence():
-    # fast_mode "on" forces the FFT path and "off" the direct one; "auto"
-    # takes the tail path on these kernels at every N
+    # the tail path these kernels take at every N, and the FFT path of their
+    # sampled stencils as a table's from FAST_CONV_MIN_N up, against the
+    # direct sum of the stencil
     rng = np.random.default_rng(20240506)
     worst = 0.0
-    auto_paths = set()
+    paths = set()
     cases = [(bbm_kernel(), Nonlinearity.bbm(1), n) for n in (32, 64, 256, 400)]
     cases += [(rosenau_kernel(), Nonlinearity.rosenau(), n) for n in (256, 400)]
     for kernel, f, n in cases:
         grid = Grid(h=0.1, n_half=n)
-        auto, fast, direct = (build_system(kernel, grid, f, fast_mode=mode)
-                              for mode in ("auto", "on", "off"))
-        auto_paths.add((n, auto.convolution))
+        tail = build_system(kernel, grid, f)
+        systems = [tail]
+        if n >= FAST_CONV_MIN_N:
+            systems.append(as_table(tail))
+        paths.update((n, system.convolution) for system in systems)
         for _ in range(100):
             v = rng.uniform(-1.0, 1.0, grid.node_count)
-            ref = direct.rhs_values(v)
-            for system in (auto, fast):
+            ref = direct_rhs(tail, v)
+            for system in systems:
                 diff = np.max(np.abs(system.rhs_values(v) - ref))
                 worst = max(worst, float(diff))
-    ok = worst < 1e-12 and auto_paths == {
-        (32, "tail"), (64, "tail"), (256, "tail"), (400, "tail")}
+    ok = worst < 1e-12 and paths == {
+        (32, "tail"), (64, "tail"), (256, "tail"), (400, "tail"), (256, "fft"), (400, "fft")}
 
     # timing record at N = 1024 (no hard threshold)
     grid = Grid(h=0.1, n_half=1024)
-    systems = {mode: build_system(bbm_kernel(), grid, Nonlinearity.bbm(1),
-                                  fast_mode=mode) for mode in ("auto", "on", "off")}
+    tail = build_system(bbm_kernel(), grid, Nonlinearity.bbm(1))
+    table = as_table(tail)
     v = rng.uniform(-1.0, 1.0, grid.node_count)
     times = {}
     reps = 10
-    for mode, system in systems.items():
-        system.rhs_values(v)  # warm the path
+    for path, rhs in (("tail", tail.rhs_values), ("fft", table.rhs_values),
+                      ("direct", lambda v: direct_rhs(tail, v))):
+        rhs(v)  # warm the path
         t0 = time.perf_counter()
         for _ in range(reps):
-            system.rhs_values(v)
-        times[mode] = (time.perf_counter() - t0) / reps
+            rhs(v)
+        times[path] = (time.perf_counter() - t0) / reps
 
-    timing = ", ".join(f"{system.convolution} {times[mode] * 1e3:.3f} ms"
-                       for mode, system in systems.items())
+    timing = ", ".join(f"{path} {seconds * 1e3:.3f} ms" for path, seconds in times.items())
     announce(6, ok, f"worst path gap {worst:.2e} (< 1e-12); "
                     f"N=1024 timing: {timing}")
     assert ok

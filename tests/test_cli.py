@@ -670,6 +670,29 @@ class TestCustomEquation:
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def readme_block(language):
+    """The body of README.md's one fenced block of ``language``."""
+    with open(README, encoding="utf-8") as fh:
+        (block,) = re.findall(rf"^```{language}\n(.*?)^```", fh.read(), re.M | re.S)
+    return block
+
+
+class TestReadme:
+    def test_config_example_loads(self, tmp_path):
+        path = tmp_path / "example.ini"
+        path.write_text(readme_block("ini"))
+        cfg = load_run_config(str(path))
+        assert cfg.problem.name == "bbm" and cfg.h == 0.25
+        assert cfg.snapshot_times == (0.0, 10.0, 20.0) and cfg.integrator.max_steps == 1000000
+        assert cfg.h_list == (0.4, 0.2, 0.1, 0.05) and len(cfg.n_list) == 11
+        assert cfg.decay_rate == 0.9
+
+    def test_library_example_prints_the_amplitude(self, capsys):
+        exec(readme_block("python"), {})
+        assert float(capsys.readouterr().out) == pytest.approx(1.2, abs=0.01)
 
 
 class TestShippedConfigs:

@@ -20,17 +20,22 @@ from nlwave import (
     tabulated_kernel,
 )
 from nlwave.discrete import MAX_N_HALF
-from oracles import fit_observed_order
+from nlwave.system import FAST_CONV_MIN_N
+from oracles import as_table, direct_rhs, fit_observed_order
 
 
-def convolve(w, v, h, fast_mode="auto"):
-    """``(w * v)_i = sum_j h w_{i-j} v_j`` as the truncated system computes
-    it: ``w`` on lags ``-N..N`` (zero beyond) as the stencil, ``f(u) = u``."""
+def convolution_system(w, h):
+    """The truncated system of ``w`` on lags ``-N..N`` (zero beyond) as the
+    stencil and ``f(u) = u``, on the path it picks for a table."""
     n = (w.size - 1) // 2
-    system = TruncatedSystem(grid=Grid(h=h, n_half=n), stencil=np.pad(w, n),
-                             nonlinearity=Nonlinearity(((1, 1.0),)),
-                             blow_up_threshold=math.inf, fast_mode=fast_mode)
-    return -system.rhs_values(v)
+    return TruncatedSystem(grid=Grid(h=h, n_half=n), stencil=np.pad(w, n),
+                           nonlinearity=Nonlinearity(((1, 1.0),)),
+                           blow_up_threshold=math.inf)
+
+
+def convolve(w, v, h):
+    """``(w * v)_i = sum_j h w_{i-j} v_j`` as the truncated system computes it."""
+    return -convolution_system(w, h).rhs_values(v)
 
 
 def central_differences(function, grid):
@@ -150,31 +155,32 @@ class TestDiscreteConvolution:
         np.testing.assert_allclose(out, [0, 0, 0.5, 0.5, 0.5, 0, 0])
 
     @pytest.mark.parametrize(
-        "fast_mode, n_half, seed, tol",
+        "n_half, fast, seed, tol",
         [
-            pytest.param("off", 64, 20240502, 1e-12, id="False"),
-            pytest.param("on", 64, 20240502, 1e-12, id="True"),
-            pytest.param("auto", 64, 20240502, 1e-12, id="None"),
-            pytest.param("off", 24, 314, 1e-13, id="False-n24"),
+            pytest.param(64, False, 20240502, 1e-12, id="False"),
+            pytest.param(FAST_CONV_MIN_N, True, 20240502, 1e-12, id="True"),
+            pytest.param(24, False, 314, 1e-13, id="False-n24"),
         ],
     )
-    def test_matches_double_loop_oracle(self, fast_mode, n_half, seed, tol):
+    def test_matches_double_loop_oracle(self, n_half, fast, seed, tol):
+        # N decides whether the FFT path runs
         g = Grid(h=0.25, n_half=n_half)
         rng = np.random.default_rng(seed)
         w = rng.uniform(-1, 1, g.node_count)
         v = rng.uniform(-1, 1, g.node_count)
+        system = convolution_system(w, g.h)
+        assert system.use_fast == fast
         expected = conv_oracle(w, v, g.h)
-        out = convolve(w, v, g.h, fast_mode)
-        assert np.max(np.abs(out - expected)) < tol
+        assert np.max(np.abs(-system.rhs_values(v) - expected)) < tol
 
     def test_fast_equals_direct(self):
-        g = Grid(h=0.1, n_half=100)
+        g = Grid(h=0.1, n_half=FAST_CONV_MIN_N)
         rng = np.random.default_rng(11)
         w = rng.standard_normal(g.node_count)
         v = rng.standard_normal(g.node_count)
-        a = convolve(w, v, g.h, "on")
-        b = convolve(w, v, g.h, "off")
-        assert np.max(np.abs(a - b)) < 1e-12
+        system = convolution_system(w, g.h)
+        assert system.convolution == "fft"
+        assert np.max(np.abs(system.rhs_values(v) - direct_rhs(system, v))) < 1e-12
 
     def test_commutative_and_bilinear(self):
         g = Grid(h=0.5, n_half=20)
@@ -191,19 +197,23 @@ class TestDiscreteConvolution:
 
     def test_young_inequality(self):
         # max |rhs| <= sum_k h |stencil_k| * max |f(v)|, the bound behind
-        # the stencil-norm stability argument, on both convolution paths
-        g = Grid(h=0.2, n_half=40)
+        # the stencil-norm stability argument, on every convolution path:
+        # rosenau's tail, and its sampled stencil as a table's, direct at
+        # N = 40 and FFT at FAST_CONV_MIN_N
         rng = np.random.default_rng(5)
-        for fast_mode in ("on", "off"):
-            system = build_system(rosenau_kernel(), g, Nonlinearity.rosenau(),
-                                  fast_mode=fast_mode)
-            for _ in range(20):
-                v = rng.uniform(-1, 1, g.node_count)
-                fv = system.nonlinearity.evaluate_values(v)
-                norm = g.h * float(np.sum(np.abs(system.stencil)))
-                bound = norm * float(np.max(np.abs(fv)))
-                rhs = system.rhs_values(v)
-                assert float(np.max(np.abs(rhs))) <= bound * (1 + 1e-12)
+        for n in (40, FAST_CONV_MIN_N):
+            g = Grid(h=0.2, n_half=n)
+            tail = build_system(rosenau_kernel(), g, Nonlinearity.rosenau())
+            table = as_table(tail)
+            assert table.convolution == ("direct" if n < FAST_CONV_MIN_N else "fft")
+            for system in (tail, table):
+                for _ in range(20):
+                    v = rng.uniform(-1, 1, g.node_count)
+                    fv = system.nonlinearity.evaluate_values(v)
+                    norm = g.h * float(np.sum(np.abs(system.stencil)))
+                    bound = norm * float(np.max(np.abs(fv)))
+                    rhs = system.rhs_values(v)
+                    assert float(np.max(np.abs(rhs))) <= bound * (1 + 1e-12)
 
 
 class TestCentralDifference:

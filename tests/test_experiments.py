@@ -114,6 +114,15 @@ class TestStudyConfig:
         with pytest.raises(ValueError):  # an infinite ratio, not an overflow
             short_bbm_config(domain_half_width=math.inf).grid()
 
+    def test_direct_path_forced_through_a_study(self):
+        # the benchmark harness times this run: a rosenau grid that
+        # StudyConfig's fast_mode puts on the direct sum, not the tail path
+        cfg = StudyConfig(problem=rosenau_problem(x0=0.0), domain_half_width=4.0,
+                          h=0.2, t_end=0.5, fast_mode="off")
+        _, rec = run_single(cfg, cfg.grid())
+        assert rec.convolution == "direct" and rec.fft_length is None
+        assert rec.rhs_calls == 12 * rec.accepted_steps + 11 * rec.rejected_steps + 1
+
 
 class TestProfileStudy:
     def test_short_run_fields(self):
@@ -173,6 +182,29 @@ class TestHRefinement:
         errors = [rec.linf_error for rec, _ in entries]
         assert all(np.isfinite(errors))
         assert errors[1] < errors[0]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_self_refined_rates_solve_the_reference_model(self, p):
+        # gaps to a reference at h_ref = 0.05 go as C (h^p - h_ref^p); read
+        # as C h^p, the finest pair of a halving list gives log2(2^p + 1)
+        h_ref = 0.05
+        recs = [record(h, 3.0 * (h**p - h_ref**p)) for h in (0.4, 0.2, 0.1)]
+        assert convergence_rate(*recs[1:]) == pytest.approx(math.log2(2**p + 1))
+        for e1, e2 in zip(recs, recs[1:]):
+            assert abs(experiments._self_refined_rate(e1, e2, h_ref) - p) < 1e-9
+        # the model's ratio exceeds 1 for every p: no rate when the error does not fall
+        for err in (1e-3, 2e-3):
+            assert experiments._self_refined_rate(record(0.2, 1e-3), record(0.1, err), h_ref) is None
+
+    def test_self_refined_top_hat_reads_first_order(self):
+        # a top hat's stencil has jumps: first order, which the gaps to the
+        # reference read as 1.17 and 1.56 under the C h^p model
+        problem = custom_problem(tabulated_kernel([-1.0, 1.0], [0.5, 0.5]),
+                                 Nonlinearity(((1, 1.0), (2, 1.0))),
+                                 initial_profile=lambda x: 0.5 / np.cosh(x / 2.0))
+        cfg = StudyConfig(problem=problem, domain_half_width=20.0, h=0.25, t_end=2.0)
+        rates = [rate for _, rate in run_h_refinement(cfg, [0.25, 0.125, 0.0625])][1:]
+        assert all(0.7 <= rate <= 1.3 for rate in rates), rates
 
     def test_non_nested_grids_refused_before_any_run(self, monkeypatch):
         # half-width 1: h = 0.25 and 0.2 give N = 4 and 5, the reference at

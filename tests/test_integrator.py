@@ -29,6 +29,7 @@ from nlwave import (
     tabulated_kernel,
 )
 from nlwave.integrator import _A, _B, _E3, _E5, TrajectoryStack, _initial_steps
+from nlwave.system import FAST_CONV_MIN_N
 from oracles import even_kernels, nonlinearities
 
 
@@ -82,10 +83,12 @@ def f_overflow():
 
 def fft_convolution_overflow():
     # finite f(v) whose transform-side accumulation still overflows, at an
-    # infinite threshold: only the finiteness rule can stop it
-    g = Grid(h=0.5, n_half=64)
-    system = build_system(bbm_kernel(), g, Nonlinearity(((1, 1.0),)),
-                          blow_up_threshold=math.inf, fast_mode="on")
+    # infinite threshold: only the finiteness rule can stop it.  A table
+    # takes the FFT path from FAST_CONV_MIN_N up
+    g = Grid(h=0.5, n_half=FAST_CONV_MIN_N)
+    system = build_system(tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]), g,
+                          Nonlinearity(((1, 1.0),)), blow_up_threshold=math.inf)
+    assert system.convolution == "fft"
     return system, SampledSequence(g, np.full(g.node_count, 5e306))
 
 

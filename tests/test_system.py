@@ -28,7 +28,7 @@ from nlwave.system import (
     _fft_length,
     convolve_rhs_direct,
 )
-from oracles import boundary_flux, even_kernels, nonlinearities
+from oracles import as_table, boundary_flux, direct_rhs, even_kernels, nonlinearities
 
 
 def rhs_oracle(stencil, h, n, g):
@@ -53,14 +53,11 @@ def is_5_smooth(m):
 @st.composite
 def even_systems(draw):
     """An even kernel, a tail or a table mirrored about 0, its system and a
-    state seed; N from 1 to 700 and every fast_mode."""
+    state seed; N from 1 to 700, on the path the system picks."""
     n = draw(st.integers(1, 700))
     kernel, h = draw(even_kernels())
     f = draw(nonlinearities)
-    mode = draw(st.sampled_from(["auto", "on", "off"]))
-    return (kernel,
-            build_system(kernel, Grid(h=h, n_half=n), f, fast_mode=mode),
-            draw(st.integers(0, 2**32 - 1)))
+    return kernel, build_system(kernel, Grid(h=h, n_half=n), f), draw(st.integers(0, 2**32 - 1))
 
 
 def path_terms(system):
@@ -221,10 +218,16 @@ class TestBuildSystem:
         g = Grid(h=1e-4, n_half=FAST_CONV_MIN_N)
         v = np.random.default_rng(4).uniform(-1.0, 1.0, g.node_count)
         for kernel in (bbm_kernel(), rosenau_kernel()):
-            tail, direct = (build_system(kernel, g, Nonlinearity.bbm(1),
-                                         fast_mode=mode) for mode in ("auto", "off"))
+            tail = build_system(kernel, g, Nonlinearity.bbm(1))
             assert tail.convolution == "tail"
-            assert np.max(np.abs(tail.rhs_values(v) - direct.rhs_values(v))) < 1e-12
+            assert np.max(np.abs(tail.rhs_values(v) - direct_rhs(tail, v))) < 1e-12
+
+    def test_only_the_direct_path_can_be_forced(self):
+        # the system picks its path; "off", the direct sum, is the one
+        # value besides "auto"
+        with pytest.raises(ValueError, match="fast_mode must be 'auto' or 'off'"):
+            build_system(bbm_kernel(), Grid(h=0.5, n_half=4), Nonlinearity.bbm(1),
+                         fast_mode="on")
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -249,11 +252,12 @@ class TestRhs:
         lags = system.stencil[g.n_half : 3 * g.n_half + 1]
         np.testing.assert_allclose(out, -g.h * lags, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("fast_mode", ["on", "off"])
-    def test_matches_double_loop_oracle(self, fast_mode):
-        g = Grid(h=0.25, n_half=64)
-        system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
-                              fast_mode=fast_mode)
+    # bbm's sampled stencil as a table's: the FFT path on at FAST_CONV_MIN_N, off at N = 64
+    @pytest.mark.parametrize("n_half", [FAST_CONV_MIN_N, 64], ids=["on", "off"])
+    def test_matches_double_loop_oracle(self, n_half):
+        g = Grid(h=0.25, n_half=n_half)
+        system = as_table(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)))
+        assert system.use_fast == (n_half >= FAST_CONV_MIN_N)
         rng = np.random.default_rng(99)
         v = rng.uniform(-1, 1, g.node_count)
         fv = Nonlinearity.bbm(1).evaluate_values(v)
@@ -270,7 +274,7 @@ class TestRhs:
         out = convolve_rhs_direct(stencil, g, h)
         assert np.max(np.abs(out - expected)) < 1e-13
 
-    def test_fast_mode_auto_threshold(self):
+    def test_path_threshold(self):
         # FAST_CONV_MIN_N gates only the FFT path: a tabulated kernel takes
         # the direct path below it and the FFT path from it upward, the
         # kernels that declare a tail take the tail path on both sides
@@ -294,20 +298,18 @@ class TestRhs:
         (bbm_kernel(), Nonlinearity.bbm(1), 8.0),
         (rosenau_kernel(), Nonlinearity.rosenau(), 8.0 * math.sqrt(2.0))])
     def test_tail_path_matches_direct_on_small_grids(self, kernel, f, h):
-        # below FAST_CONV_MIN_N "auto" runs the tail path where "off" runs
-        # the direct sum; they agree down to N = 1, three nodes, and up to
-        # the coarsest mesh the tail path takes, h |Re lambda| = 8, where its
-        # rounding eps e^{h |Re lambda|} peaks and N = 60 runs in 3 blocks
+        # the tail path agrees with the direct sum of the sampled stencil
+        # down to N = 1, three nodes, and up to the coarsest mesh it takes,
+        # h |Re lambda| = 8, where its rounding eps e^{h |Re lambda|} peaks
+        # and N = 60 runs in 3 blocks
         rng = np.random.default_rng(60)
         for n in (1, 2, 3, 8, 10, 16, 60):
             g = Grid(h=h, n_half=n)
-            tail, direct = (build_system(kernel, g, f, fast_mode=mode)
-                            for mode in ("auto", "off"))
+            tail = build_system(kernel, g, f)
             assert tail.convolution == "tail"
             for _ in range(20):
                 v = rng.uniform(-1.0, 1.0, g.node_count)
-                assert np.max(np.abs(tail.rhs_values(v)
-                                     - direct.rhs_values(v))) < 1e-12
+                assert np.max(np.abs(tail.rhs_values(v) - direct_rhs(tail, v))) < 1e-12
 
     def test_grid_past_the_old_tail_cap_stays_on_the_tail(self):
         # the largest tail weight e^{2Nh} is e^{450} at h = 0.9, under 1e200,
@@ -316,22 +318,20 @@ class TestRhs:
         rng = np.random.default_rng(8)
         for h in (0.9, 1.0):
             g = Grid(h=h, n_half=n)
-            auto, direct = (build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
-                                         fast_mode=mode) for mode in ("auto", "off"))
+            auto = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
             assert auto.convolution == "tail" and auto.fft_length is None
             v = rng.uniform(-1.0, 1.0, g.node_count)
-            assert np.max(np.abs(auto.rhs_values(v) - direct.rhs_values(v))) < 1e-12
+            assert np.max(np.abs(auto.rhs_values(v) - direct_rhs(auto, v))) < 1e-12
 
     def test_grid_past_the_old_tail_cap_below_the_constant_stays_on_the_tail(self):
         # e^{2Nh} is e^{480} at h = 1, N = 240: past 1e200, below
         # FAST_CONV_MIN_N, where the direct path used to take over
         assert 240 < FAST_CONV_MIN_N
         g = Grid(h=1.0, n_half=240)
-        auto, direct = (build_system(bbm_kernel(), g, Nonlinearity.bbm(1), fast_mode=mode)
-                        for mode in ("auto", "off"))
+        auto = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
         assert auto.convolution == "tail" and auto.fft_length is None
         v = np.random.default_rng(9).uniform(-1.0, 1.0, g.node_count)
-        assert np.max(np.abs(auto.rhs_values(v) - direct.rhs_values(v))) < 1e-12
+        assert np.max(np.abs(auto.rhs_values(v) - direct_rhs(auto, v))) < 1e-12
 
     @pytest.mark.parametrize("kernel, decay", [(bbm_kernel(), 4.0), (rosenau_kernel(), 5.0)],
                              ids=["bbm", "rosenau"])
@@ -346,62 +346,73 @@ class TestRhs:
         sizes = (span, span + 1, 2 * span, 2 * span + 1)
         for n in sorted({m // 2 for m in sizes} | {(m - 1) // 2 for m in sizes}):
             g = Grid(h=h, n_half=n)
-            tail, direct = (build_system(kernel, g, Nonlinearity.rosenau(), fast_mode=mode)
-                            for mode in ("auto", "off"))
+            tail = build_system(kernel, g, Nonlinearity.rosenau())
             assert tail.convolution == "tail"
             v = rng.uniform(-1.0, 1.0, (3, g.node_count))
-            assert np.max(np.abs(tail.rhs_values(v) - direct.rhs_values(v))) < 1e-12
+            assert np.max(np.abs(tail.rhs_values(v) - direct_rhs(tail, v))) < 1e-12
 
     @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()],
                              ids=["bbm", "rosenau"])
     def test_mesh_coarser_than_the_tail_limit_refused(self, kernel):
         # past h |Re lambda| = 8 the mesh does not resolve the kernel, and the
-        # tail path's sums would lose digits; the direct sum still builds
+        # tail path's sums would lose digits; the same values with no tail,
+        # as a table's, still build on the direct sum
         g = Grid(h=8.01 / abs(kernel.tail[1].real), n_half=3)
         with pytest.raises(ValueError, match=r"h \|Re lambda\| = 8.01 > 8"):
             build_system(kernel, g, Nonlinearity.bbm(1))
-        direct = build_system(kernel, g, Nonlinearity.bbm(1), fast_mode="off")
+        direct = build_system(Kernel(evaluate=kernel.evaluate), g, Nonlinearity.bbm(1))
         assert direct.convolution == "direct"
 
     def test_tail_sums_keep_headroom_past_the_blow_up_threshold(self):
         # |v| up to the default threshold 1e6 makes |f(v)| about 1.2e31; the
         # block weights stay within 1e200, so no sum overflows
         g = Grid(h=4.0 * math.sqrt(2.0), n_half=200)  # 4 blocks of 101 nodes
-        tail, direct = (build_system(rosenau_kernel(), g, Nonlinearity.rosenau(),
-                                     fast_mode=mode) for mode in ("auto", "off"))
+        tail = build_system(rosenau_kernel(), g, Nonlinearity.rosenau())
         assert tail.convolution == "tail"
         v = np.random.default_rng(12).uniform(-1.0, 1.0, g.node_count)
         v *= DEFAULT_BLOW_UP_THRESHOLD
         out = tail.rhs_values(v)
         assert np.all(np.isfinite(out)) and np.max(np.abs(out)) > 1e30
-        assert np.max(np.abs(out - direct.rhs_values(v))) <= 1e-12 * np.max(np.abs(out))
+        assert np.max(np.abs(out - direct_rhs(tail, v))) <= 1e-12 * np.max(np.abs(out))
 
     def test_fft_cycle_is_shortest_alias_free_5_smooth(self):
         # 4N+1 is itself 5-smooth at the tight cases N = 1, 2, 6, 11, 20, 31,
         # 56, 101, where a cycle one shorter would alias into the window
         tight = [n for n in range(1, 131) if is_5_smooth(4 * n + 1)]
         assert tight == [1, 2, 6, 11, 20, 31, 56, 101]
-        rng = np.random.default_rng(17)
         for n in range(1, 131):
             length = _fft_length(n)
             assert is_5_smooth(length) and length >= 4 * n + 1
             assert not any(is_5_smooth(m) for m in range(4 * n + 1, length))
+
+    def test_fft_path_matches_direct_at_tight_cycles(self):
+        # the FFT path runs at the tight N from FAST_CONV_MIN_N up, where its
+        # cycle is 4N+1 with no slack.  A tent wider than the window keeps the
+        # stencil at lag 2N, which a cycle one shorter would fold onto lag 0
+        tight = [n for n in range(FAST_CONV_MIN_N, 1000) if is_5_smooth(4 * n + 1)]
+        assert tight == [281, 506, 781, 911]
+        rng = np.random.default_rng(17)
+        for n in tight:
             g = Grid(h=0.3, n_half=n)
-            fast, direct = (build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
-                                         fast_mode=mode) for mode in ("on", "off"))
-            assert fast.fft_length == length
+            tent = tabulated_kernel([-3 * g.half_width, 0.0, 3 * g.half_width], [0.0, 1.0, 0.0])
+            fast = build_system(tent, g, Nonlinearity.bbm(1))
+            assert fast.fft_length == 4 * n + 1
             v = rng.uniform(-1.0, 1.0, g.node_count)
-            assert np.max(np.abs(fast.rhs_values(v) - direct.rhs_values(v))) < 1e-12
+            assert np.max(np.abs(fast.rhs_values(v) - direct_rhs(fast, v))) < 1e-12
 
     @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()],
                              ids=["bbm", "rosenau"])
-    @pytest.mark.parametrize("fast_mode", ["auto", "on", "off"])
-    def test_stacked_rows_match_their_own_grids(self, kernel, fast_mode):
+    # the system the kernel builds at N = 48 (the tail path), and its sampled
+    # stencil as a table's, with the FFT path on (at FAST_CONV_MIN_N) or off
+    @pytest.mark.parametrize("n_half, path", [(48, "tail"), (FAST_CONV_MIN_N, "fft"),
+                                              (48, "direct")], ids=["auto", "on", "off"])
+    def test_stacked_rows_match_their_own_grids(self, kernel, n_half, path):
         # a stack of states of the grid's width: each row's output is its own
         # state's on every path (padding narrower grids is integrate's job)
-        f = Nonlinearity.bbm(1)
-        system = build_system(kernel, Grid(h=0.25, n_half=48), f, fast_mode=fast_mode)
-        v = np.random.default_rng(11).uniform(-1.0, 1.0, (3, 97))
+        system = build_system(kernel, Grid(h=0.25, n_half=n_half), Nonlinearity.bbm(1))
+        system = system if path == "tail" else as_table(system)
+        assert system.convolution == path
+        v = np.random.default_rng(11).uniform(-1.0, 1.0, (3, system.grid.node_count))
         out = system.rhs_values(v)
         assert out.shape == v.shape
         for row, state in zip(out, v):
@@ -439,25 +450,23 @@ class TestRhs:
     @settings(even_kernel_property, max_examples=100)
     @given(even_systems())
     def test_even_kernel_paths_agree(self, case):
-        # the tail (or the "auto" choice), FFT and direct paths sum the same
-        # terms; a scale that underflows to 0 demands equal outputs
-        kernel, system, seed = case
+        # the path the system picks (tail, FFT or direct) and the direct sum
+        # of its sampled stencil sum the same terms; a scale that underflows
+        # to 0 demands equal outputs
+        _, system, seed = case
         v = random_state(system, seed)
         g = np.abs(system.nonlinearity.evaluate_values(v))
         scale = np.max(np.convolve(sampled_terms(system), g))
-        auto, *forced = (build_system(kernel, system.grid, system.nonlinearity,
-                                      fast_mode=mode).rhs_values(v)
-                         for mode in ("auto", "on", "off"))
-        for out in forced:
-            assert np.max(np.abs(out - auto)) <= 1e-13 * scale
+        assert np.max(np.abs(system.rhs_values(v) - direct_rhs(system, v))) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("fast_mode", ["on", "off"])
-    def test_wrong_state_length_rejected(self, fast_mode):
-        # both convolution paths would otherwise return a wrong-length answer;
+    # bbm's sampled stencil as a table's: the FFT path on at FAST_CONV_MIN_N, off at N = 64
+    @pytest.mark.parametrize("n_half", [FAST_CONV_MIN_N, 64], ids=["on", "off"])
+    def test_wrong_state_length_rejected(self, n_half):
+        # both table paths would otherwise return a wrong-length answer;
         # a (1, 2N+1) array is a stack of one state, not a wrong length
-        g = Grid(h=0.5, n_half=64)
-        system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1),
-                              fast_mode=fast_mode)
+        g = Grid(h=0.5, n_half=n_half)
+        system = as_table(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)))
+        assert system.use_fast == (n_half >= FAST_CONV_MIN_N)
         for shape in (100, (1, 100), (1, 1, g.node_count)):
             with pytest.raises(ValueError):
                 system.rhs_values(np.zeros(shape))
