@@ -79,14 +79,5 @@ class SampledSequence:
 
 
 def restrict(function, grid: Grid) -> SampledSequence:
-    """Sample a function on the grid nodes: ``(R w)_i = w(x_i)``."""
-    try:
-        values = np.asarray(function(grid.nodes), dtype=float)
-        if values.shape != (grid.node_count,):
-            raise TypeError
-    except (TypeError, ValueError):
-        # scalar-only callables
-        values = np.array([function(x) for x in grid.nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("function produced non-finite values on the grid")
-    return SampledSequence(grid, values)
+    """Sample a vectorized function on the grid nodes: ``(R w)_i = w(x_i)``."""
+    return SampledSequence(grid, function(grid.nodes))

@@ -115,6 +115,10 @@ class TestDecayEnvelope:
                 DecayEnvelope(rate=bad)
         DecayEnvelope(rate=0.9)  # boundary-interior value is fine
 
+    def test_scale_must_be_positive(self):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            DecayEnvelope(rate=0.5, scale=0.0)
+
     def test_constant_too_large_for_a_float_is_refused(self):
         # |v| e^{0.5 |x|} at |x| = 1500 is e^{750} times |v|: past the
         # largest float, so no finite envelope holds on the state

@@ -129,9 +129,19 @@ class TestRestrict:
         s = restrict(lambda x: x, Grid(h=0.5, n_half=2))
         np.testing.assert_allclose(s.values, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
-    def test_scalar_only_callable(self):
-        s = restrict(lambda x: float(x) ** 2, Grid(h=1.0, n_half=1))
-        np.testing.assert_allclose(s.values, [1.0, 0.0, 1.0])
+    def test_one_call_on_the_nodes(self):
+        g, calls = Grid(h=0.5, n_half=3), []
+
+        def square(x):
+            calls.append(np.shape(x))
+            return x * x
+
+        np.testing.assert_array_equal(restrict(square, g).values, g.nodes**2)
+        assert calls == [(g.node_count,)]
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="expected 3 values"):
+            restrict(lambda x: x[:, None], Grid(h=1.0, n_half=1))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

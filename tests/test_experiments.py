@@ -12,6 +12,7 @@ from nlwave import (
     IntegratorConfig,
     Nonlinearity,
     StudyConfig,
+    bbm_kernel,
     convergence_rate,
     custom_problem,
     evaluate_solitary,
@@ -27,7 +28,7 @@ from nlwave import (
 from nlwave import experiments
 from nlwave.config import load_run_config
 from nlwave.experiments import TruncationRecord, run_single
-from nlwave.problems import bbm_problem, rosenau_problem
+from nlwave.problems import Problem, bbm_problem, rosenau_problem
 from oracles import fit_observed_order
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -143,6 +144,18 @@ class TestProfileStudy:
         assert study.record.linf_error == 0.0
         assert study.trajectory.times == (0.0,)
 
+    def test_zero_initial_mass_drift_is_absolute(self):
+        study = experiments.ProfileStudy(trajectory=None, record=record(0.25, 0.0),
+                                         mass_initial=0.0, mass_final=-2e-3)
+        assert study.relative_mass_drift == 2e-3
+
+    def test_problem_without_initial_data_refused(self):
+        problem = Problem(name="bare", kernel=bbm_kernel(),
+                          nonlinearity=Nonlinearity.bbm(1), wave=None)
+        cfg = StudyConfig(problem=problem, domain_half_width=4.0, h=0.5, t_end=1.0)
+        with pytest.raises(ValueError, match="neither a wave nor an initial profile"):
+            run_single(cfg, cfg.grid())
+
 
 class TestHRefinement:
     def test_rates_near_two(self):
@@ -233,6 +246,9 @@ class TestTruncationStudy:
         deltas = [r.delta for r in records]
         assert deltas[-1] < deltas[0]
         assert all(r.eps_delta >= 0 for r in records)
+
+    def test_no_n_values_give_no_records(self):
+        assert run_truncation_study(short_bbm_config(), []) == []
 
     def test_needs_increasing_n(self):
         with pytest.raises(ValueError):

@@ -427,6 +427,30 @@ class TestRhsCount:
         traj = integrate(system, SampledSequence(system.grid, np.ones(3)), 0.0)
         assert traj.rhs_calls == 0
 
+    @pytest.mark.parametrize("run", ["rejecting", "snapshot", "zero_horizon"])
+    def test_count_is_the_number_of_calls(self, monkeypatch, run):
+        # the identity above is the bookkeeping's; this counts the calls
+        calls, rhs_values = [], TruncatedSystem.rhs_values
+
+        def counted(self, v, out=None):
+            calls.append(v.shape)
+            return rhs_values(self, v, out)
+
+        monkeypatch.setattr(TruncatedSystem, "rhs_values", counted)
+        if run == "snapshot":
+            g = Grid(h=0.25, n_half=60)
+            traj = integrate(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)),
+                             initial_data(bbm_solitary(p=1, c=1.8, x0=-5.0), g),
+                             2.0, snapshots=[0.7])
+            assert traj.times == (0.0, 0.7, 2.0)
+        else:
+            system = decay_stub(rate=50.0)
+            traj = integrate(system, SampledSequence(system.grid, np.ones(3)),
+                             1.0 if run == "rejecting" else 0.0)
+            assert (traj.rejected_steps > 0) == (run == "rejecting")
+        assert traj.rhs_calls == len(calls) == (0 if run == "zero_horizon" else (
+            12 * traj.accepted_steps + 11 * traj.rejected_steps + 1))
+
 
 def node_stub(n_half, rate, nonlinearity, threshold=1e6):
     """Stub system decoupling every node into u' = -rate * f(u)."""

@@ -222,6 +222,20 @@ class TestBuildSystem:
             assert tail.convolution == "tail"
             assert np.max(np.abs(tail.rhs_values(v) - direct_rhs(tail, v))) < 1e-12
 
+    def test_kernel_not_a_number_at_one_lag_refused(self):
+        # beta is NaN at x = h alone of the 4N+3 nodes it is sampled on
+        kernel = Kernel(evaluate=lambda x: np.where(np.arange(x.size) == 6, np.nan, x * x))
+        with pytest.raises(ValueError, match="stencil entries must be finite"):
+            build_system(kernel, Grid(h=0.5, n_half=2), Nonlinearity.bbm(1))
+
+    def test_finite_kernel_whose_differences_overflow_refused(self):
+        # a top hat of height 1e308: at its edges beta jumps by 1e308 over
+        # 2h = 0.5, so the difference quotient overflows to inf
+        kernel = tabulated_kernel([-1.0, 1.0], [1e308, 1e308])
+        with pytest.raises(ValueError, match="stencil entries must be finite"), \
+                np.errstate(over="ignore"):
+            build_system(kernel, Grid(h=0.25, n_half=8), Nonlinearity.bbm(1))
+
     def test_only_the_direct_path_can_be_forced(self):
         # the system picks its path; "off", the direct sum, is the one
         # value besides "auto"
