@@ -17,11 +17,13 @@ inputs; a step ending short of one by at most the underflow bound is
 lengthened onto it, and requested times closer than that bound are refused.
 The blow-up rule is checked here, on the ``|state|_inf`` the error scale
 computes anyway.  A stack is a list of states of the system's h, none wider
-than its grid; this module alone pads them into left-aligned rows and zeroes
-every right-hand side there.  One loop runs every run, a single state as a
-stack of one: the rows step in lockstep, one right-hand side per stage for
-all, each with its own clock, step size, snapshots, accept/reject decision
-and counts (Hairer, Norsett and Wanner, Sec. II.4).
+than its grid; this module alone lays them out left-aligned in rows that
+are 0 past their ends.  One loop runs every run, a single state as a stack
+of one: the rows step in lockstep, one right-hand side per stage for all,
+each with its own clock, step size, snapshots, accept/reject decision and
+counts (Hairer, Norsett and Wanner, Sec. II.4), and its stage sums and norms
+over its own nodes alone; so a row of a tail kernel's stack is its own run
+bit for bit.
 """
 
 import math
@@ -123,17 +125,19 @@ class Trajectory(NamedTuple):
         return self.states[-1]
 
 
-def _initial_steps(f, y0, f0, probe, rows, t_max, cfg):
-    # Each row's f(y0) must be finite; then the classic curvature heuristic
-    # per row: scale a trial Euler step by the observed change of f.
-    for row, f_norm in zip(rows, np.abs(f0).max(axis=-1).tolist()):
+def _initial_steps(f, rows, t_max, cfg):
+    # Each row's f(y0), its k[1], must be finite; then the classic curvature heuristic per
+    # row: scale a trial Euler step, its sums[0], by the change of f, which f() puts in k[2].
+    for row in rows:
+        f_norm = float(np.max(np.abs(row.k[1])))
         _check_state(f_norm, math.inf, 0.0, row.grid)
         row.sc, row.rhs_calls = cfg.abs_tol + cfg.rel_tol * row.y_norm, 2  # f(y0), probe
         d0, row.d1 = row.y_norm / row.sc, f_norm / row.sc
         row.h = 1e-6 if (d0 < 1e-5 or row.d1 < 1e-5) else 0.01 * d0 / row.d1
-    f(y0 + np.array([row.h for row in rows])[:, None] * f0, out=probe)
-    for row, df in zip(rows, np.abs(probe - f0).max(axis=-1).tolist()):
-        d = max(row.d1, df / row.sc / row.h)
+        np.add(row.k[0], row.h * row.k[1], out=row.sums[0])
+    f()
+    for row in rows:
+        d = max(row.d1, float(np.max(np.abs(row.k[2] - row.k[1]))) / row.sc / row.h)
         h1 = max(1e-6, row.h * 1e-3) if d <= 1e-15 else (0.01 / d) ** (1 / (_ERROR_ORDER + 1))
         row.h = min(100.0 * row.h, h1, t_max)
 
@@ -184,13 +188,14 @@ def integrate(
 
     Times 0 and ``t_end`` are always recorded, besides ``snapshots``.  Given a
     sequence of states of the system's h, none wider than its grid, returns
-    their ``TrajectoryStack``.  Each stage sum is one product, y a term of
-    weight 1 (0 in the error estimates).  Raises ``BlowUpError``, naming the
-    grid, when the initial state or an attempted step's state has a sup-norm
-    above ``system.blow_up_threshold`` or a non-finite value, or f(y0) is
-    non-finite; stage inputs are not checked, but a non-finite stage enters
-    the step's state (0 * NaN = NaN).  Raises ``StepFailureError`` when the
-    controller underflows the step or runs out of its step budget.
+    their ``TrajectoryStack``.  Each row's stage sum is one product over its
+    own nodes, y a term of weight 1 (0 in the error estimates).  Raises
+    ``BlowUpError``, naming the grid, when the initial state or an attempted
+    step's state has a sup-norm above ``system.blow_up_threshold`` or a
+    non-finite value, or f(y0) is non-finite; stage inputs are not checked,
+    but a non-finite stage enters the step's state (0 * NaN = NaN).  Raises
+    ``StepFailureError`` when the controller underflows the step or runs out
+    of its step budget.
     """
     states = (initial,) if isinstance(initial, SampledSequence) else tuple(initial)
     if not states or any(s.grid.h != system.grid.h or s.grid.n_half > system.grid.n_half
@@ -198,39 +203,33 @@ def integrate(
         raise ValueError("initial state grid does not match the system grid")
     cfg = config or IntegratorConfig()
     targets = [s for s in _normalize_snapshots(t_end, snapshots) if s > 0.0]
-    k = np.zeros((13, len(states), system.grid.node_count))  # y, 12 stages; padding 0
-    y, rows = k[0], []
-    padding = np.arange(y.shape[1]) >= np.array([[s.grid.node_count] for s in states])
-    padded = padding.any()  # once per run, not per right-hand side
-
-    def rhs(v, out):
-        system.rhs_values(v, out=out)
-        if padded:  # the padding lies within the grid, so every path's sums reach it
-            np.copyto(out, 0.0, where=padding)
-
+    # y and the 12 stages.  A spare row leaves every row's block strided, as a single run's
+    # is: numpy multiplies (1, K) by a contiguous (K, n) block with n <= 3 another way
+    k = np.zeros((13, len(states) + 1, system.grid.node_count))[:, :-1]
+    sums = np.zeros((3, *k.shape[1:]))  # a stage input, then the new state; err5; err3
+    w = np.zeros((len(states), 14, 13))  # per row: y's weight, then _STEP times h
+    w[:, :12, 0] = 1.0  # the stage inputs and the new state add y; the estimates do not
+    rows = []
     for i, state in enumerate(states):
-        y[i, :state.values.size] = state.values
-        rows.append(SimpleNamespace(grid=state.grid, t=0.0, target=0, accepted=0,
-                                    rejected=0, rhs_calls=0, times=[0.0], states=[state],
-                                    y_norm=float(np.max(np.abs(state.values)))))
+        n = state.values.size
+        k[0, i, :n] = state.values
+        rows.append(SimpleNamespace(  # views of its own nodes; y's and sums' padding stays 0
+            grid=state.grid, t=0.0, target=0, accepted=0, rejected=0, rhs_calls=0,
+            times=[0.0], states=[state], y_norm=float(np.max(np.abs(state.values))),
+            k=k[:, i, :n], sums=sums[:, i, :n], h_step=w[i, :, 1:],
+            # one call each: the 11 stage inputs, then the new state and both estimates
+            products=[(w[i, j, :j + 2], k[:j + 2, i, :n], sums[0, i, :n]) for j in range(11)]
+            + [(w[i, 11:], k[:, i, :n], sums[:, i, :n])]))
         _check_state(rows[-1].y_norm, system.blow_up_threshold, 0.0, state.grid)
 
     # overflow ends in BlowUpError, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         if targets:
-            rhs(y, k[1])
-            _initial_steps(rhs, y, k[1], k[2], rows, targets[-1], cfg)
-        w = np.zeros((len(rows), 14, 13))  # per row: y's weight, then _STEP times h
-        w[:, :12, 0] = 1.0  # the stage inputs and the new state add y; the estimates do not
-        sums = np.empty((3, *y.shape))  # a stage input, then the new state; err5; err3
-        products = [(w[:, i, None, :i + 2], k[:i + 2].transpose(1, 0, 2), sums[0, :, None])
-                    for i in range(11)]
+            system.rhs_values(k[0], out=k[1])
+            _initial_steps(lambda: system.rhs_values(sums[0], out=k[2]), rows, targets[-1], cfg)
         where = "on the N={.grid.n_half} grid".format  # formatted only for an error
-        while any(row.target < len(targets) for row in rows):
-            for row in rows:
-                row.h_use = 0.0  # a finished row idles on its final state
-                if row.target == len(targets):
-                    continue
+        while active := [row for row in rows if row.target < len(targets)]:
+            for row in active:  # a finished row idles on its final state
                 if row.accepted + row.rejected >= cfg.max_steps:
                     raise StepFailureError(f"exceeded max_steps={cfg.max_steps} {where(row)}")
                 target = targets[row.target]  # a sliver short of it is no steppable gap
@@ -239,16 +238,15 @@ def integrate(
                 if row.h_use <= _underflow_bound(row.t):
                     raise StepFailureError(f"step size underflow at t={row.t:.17g} {where(row)}")
                 row.rhs_calls += 11
-            np.multiply([[[row.h_use]] for row in rows], _STEP, out=w[..., 1:])
-            for product, f_out in zip(products, k[2:]):
-                np.matmul(*product)
-                rhs(sums[0], f_out)
-            np.matmul(w[:, 11:], k.transpose(1, 0, 2), out=sums.transpose(1, 0, 2))
-            norms = np.abs(sums).max(axis=-1).tolist()
+                np.multiply(row.h_use, _STEP, out=row.h_step)
+            for i, f_out in enumerate(k[2:]):
+                for row in active:
+                    np.matmul(*row.products[i])
+                system.rhs_values(sums[0], out=f_out)
             advanced = False
-            for i, (row, y_new_norm, err5, err3) in enumerate(zip(rows, *norms)):
-                if not row.h_use:
-                    continue
+            for row in active:
+                np.matmul(*row.products[-1])
+                y_new_norm, err5, err3 = np.abs(row.sums).max(axis=-1).tolist()
                 _check_state(y_new_norm, system.blow_up_threshold, row.t + row.h_use, row.grid)
                 sc = cfg.abs_tol + cfg.rel_tol * max(row.y_norm, y_new_norm)
                 err5, err3 = err5 / sc, err3 / sc
@@ -258,10 +256,10 @@ def integrate(
                 if enorm <= 1.0:
                     row.accepted += 1
                     row.t = targets[row.target] if row.clipped else row.t + row.h_use
-                    y[i], row.y_norm = sums[0, i], y_new_norm
+                    row.k[0], row.y_norm = row.sums[0], y_new_norm
                     if row.clipped:
                         row.times.append(row.t)
-                        row.states.append(SampledSequence(row.grid, y[i, :row.grid.node_count]))
+                        row.states.append(SampledSequence(row.grid, row.k[0]))
                         row.target += 1
                         if row.target == len(targets):
                             continue  # nothing reads f at the final state
@@ -277,7 +275,7 @@ def integrate(
                     _MAX_FACTOR,
                     max(_MIN_FACTOR, _SAFETY * enorm ** (-1.0 / (_ERROR_ORDER + 1)))))
             if advanced:  # rows that stayed put get the same f(y) again
-                rhs(y, k[1])
+                system.rhs_values(k[0], out=k[1])
 
     trajectories = TrajectoryStack(Trajectory(tuple(row.times), tuple(row.states), row.accepted,
                                               row.rejected, row.rhs_calls) for row in rows)

@@ -24,7 +24,7 @@ the system is built.  ``f`` is evaluated by Horner's rule.  The right-hand
 side checks only the state's shape: blow-up is a property of the
 trajectory, so ``integrate`` owns that rule.  It maps one state or a stack
 of states of the grid's width; a stack of narrower grids is a list of
-states, which ``integrate`` alone pads into rows and zeroes the padding of.
+states, which ``integrate`` alone lays out as zero-padded rows.
 """
 
 import math
@@ -256,7 +256,8 @@ def build_system(
     h, n = grid.h, grid.n_half
     nodes = np.arange(-2 * n - 1, 2 * n + 2) * h
     beta = np.asarray(kernel.evaluate(nodes), dtype=float)
-    stencil = (beta[2:] - beta[:-2]) / (2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # TruncatedSystem refuses inf and NaN
+        stencil = (beta[2:] - beta[:-2]) / (2.0 * h)
     return TruncatedSystem(
         grid=grid,
         stencil=stencil,

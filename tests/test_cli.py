@@ -839,18 +839,28 @@ class TestDocumentedExamples:
         assert peak == pytest.approx(1.2, rel=0.02)  # the wave amplitude
 
 
+def run_module(*args):
+    """``python -m nlwave`` in a child that imports the package this test
+    imported, as pytest's pythonpath setting does not reach a subprocess."""
+    src = os.path.dirname(os.path.dirname(nlwave.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "nlwave", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=0.5)
-        # the child imports the package this test imported, as pytest's
-        # pythonpath setting does not reach a subprocess
-        src = os.path.dirname(os.path.dirname(nlwave.cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nlwave", "simulate", "--config", cfg],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_module("simulate", "--config", cfg)
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(os.path.join(outdir, "summary.json"))
+
+    def test_overflowing_stencil_refused_without_a_warning(self, tmp_path):
+        # a top hat of height 1e308 at h = 0.25: its difference quotients
+        # overflow to inf, which is a config error, and numpy says nothing
+        cfg, outdir = write_config(tmp_path, equation=CUSTOM_EQUATION, half=2.0,
+                                   kernel="-1 1e308\n1 1e308\n")
+        proc = run_module("simulate", "--config", cfg)
+        assert proc.returncode == 2
+        assert proc.stderr == "nlwave: config error: stencil entries must be finite\n"
+        assert not os.path.exists(outdir)

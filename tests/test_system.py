@@ -232,8 +232,14 @@ class TestBuildSystem:
         # a top hat of height 1e308: at its edges beta jumps by 1e308 over
         # 2h = 0.5, so the difference quotient overflows to inf
         kernel = tabulated_kernel([-1.0, 1.0], [1e308, 1e308])
-        with pytest.raises(ValueError, match="stencil entries must be finite"), \
-                np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="stencil entries must be finite"):
+            build_system(kernel, Grid(h=0.25, n_half=8), Nonlinearity.bbm(1))
+
+    def test_kernel_infinite_on_an_interval_refused(self):
+        # inside (-1, 1) beta is inf, so the central differences there are
+        # inf - inf = NaN; numpy stays silent and the refusal names the stencil
+        kernel = Kernel(evaluate=lambda x: np.where(np.abs(x) < 1.0, np.inf, 0.0))
+        with pytest.raises(ValueError, match="stencil entries must be finite"):
             build_system(kernel, Grid(h=0.25, n_half=8), Nonlinearity.bbm(1))
 
     def test_only_the_direct_path_can_be_forced(self):
