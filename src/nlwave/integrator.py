@@ -136,8 +136,9 @@ def _initial_steps(f, rows, t_max, cfg):
         row.h = 1e-6 if (d0 < 1e-5 or row.d1 < 1e-5) else 0.01 * d0 / row.d1
         np.add(row.k[0], row.h * row.k[1], out=row.sums[0])
     f()
-    for row in rows:
-        d = max(row.d1, float(np.max(np.abs(row.k[2] - row.k[1]))) / row.sc / row.h)
+    for row in rows:  # h is 0 only if d1 overflowed; it then stays 0, a step size underflow
+        diff = float(np.max(np.abs(row.k[2] - row.k[1]))) / row.sc
+        d = max(row.d1, diff / row.h if row.h else math.inf)
         h1 = max(1e-6, row.h * 1e-3) if d <= 1e-15 else (0.01 / d) ** (1 / (_ERROR_ORDER + 1))
         row.h = min(100.0 * row.h, h1, t_max)
 

@@ -85,7 +85,7 @@ def tabulated_kernel(nodes, values) -> Kernel:
 
     Evaluates to zero outside ``[nodes[0], nodes[-1]]``.  A table mirrored
     about 0 is evaluated at ``|x|``, so it is exactly even.  A tabulated
-    kernel has no tail, so large grids take the FFT path.
+    kernel has no tail, so its systems take the FFT path at every N.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)

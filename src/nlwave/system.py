@@ -14,17 +14,17 @@ w^|k|)``, so the sum is a prefix sum of ``w^-j f(v_j)`` from the left end
 and one of ``w^j f(v_j)`` from the right, each toward the node it serves (a
 total minus a prefix sum would cancel), in blocks whose weights stay within
 1e200.  It refuses ``h |Re lambda| > 8``, a mesh that does not resolve the
-kernel, where the sums round to ``eps e^{h |Re lambda|}``.  A tabulated
-kernel takes a direct sum (``convolve_rhs_direct``) below half-width
-``FAST_CONV_MIN_N`` and from it upward a product of real FFTs over the
+kernel, where the sums round to ``eps e^{h |Re lambda|}``.  Any other
+kernel, such as a table, takes at every N a product of real FFTs over the
 shortest 5-smooth cycle of at least ``4N+1`` points: the cyclic convolution
-then wraps only into entries outside the window ``2N..4N`` that it reads.  The
-tail weights, the cycle length and the stencil's transform are fixed when
-the system is built.  ``f`` is evaluated by Horner's rule.  The right-hand
-side checks only the state's shape: blow-up is a property of the
-trajectory, so ``integrate`` owns that rule.  It maps one state or a stack
-of states of the grid's width; a stack of narrower grids is a list of
-states, which ``integrate`` alone lays out as zero-padded rows.
+then wraps only into entries outside the window ``2N..4N`` that it reads.
+``fast_mode="off"`` forces the third path, a direct sum.  The tail weights,
+the cycle length and the stencil's transform are fixed when the system is
+built.  ``f`` is evaluated by Horner's rule.  The right-hand side checks
+only the state's shape: blow-up is a property of the trajectory, so
+``integrate`` owns that rule.  It maps one state or a stack of states of the
+grid's width; a stack of narrower grids is a list of states, which
+``integrate`` alone lays out as zero-padded rows.
 """
 
 import math
@@ -45,12 +45,6 @@ __all__ = [
 
 # Finite stand-in for the asymptotic blow-up condition limsup |v| = inf.
 DEFAULT_BLOW_UP_THRESHOLD = 1e6
-
-# Below this half-width the direct path beats the FFT path.  Timed per call
-# with numpy 2.4 on a 2-core Xeon, the two tie within noise at N = 220..260;
-# whole runs favour the direct path at N = 240 and the FFT path at N = 260.
-# It only chooses between a tabulated kernel's direct and FFT paths.
-FAST_CONV_MIN_N = 250
 
 _MAX_SAMPLES = 513
 
@@ -123,9 +117,9 @@ class TruncatedSystem:
     sampled kernel's ``(a, lambda)`` or ``None``; with ``w = e^{lambda h}``
     and ``c = a (w - 1/w) / 2h`` that kernel's stencil is
     ``sign(k) Re(c w^|k|)``, which the tail path uses in place of
-    ``stencil``.  The system picks the path: the tail path at every N,
-    refusing ``h |Re lambda| > 8``, else FFT from ``N >= FAST_CONV_MIN_N``
-    upward and direct below; ``fast_mode="off"``, which only the benchmark
+    ``stencil``.  The kernel's form picks the path at every N: the tail path,
+    refusing ``h |Re lambda| > 8``, else FFT, refusing a stencil whose
+    transform overflows; ``fast_mode="off"``, which only the benchmark
     harness passes, forces the direct path.  ``convolution`` names the path
     that runs (``"direct"``, ``"fft"`` or ``"tail"``); ``fft_length`` is
     the FFT path's cycle length, ``None`` on the others.
@@ -153,7 +147,7 @@ class TruncatedSystem:
             raise ValueError("blow-up threshold must be positive")
         if self.fast_mode not in ("auto", "off"):
             raise ValueError("fast_mode must be 'auto' or 'off'")
-        path = "fft" if self.fast_mode == "auto" and n >= FAST_CONV_MIN_N else "direct"
+        path = "fft" if self.fast_mode == "auto" else "direct"
         if self.tail is not None and self.fast_mode == "auto":
             a, lam = self.tail
             if -lam.real * h > 8:  # the sums below round to eps e^{h|Re lambda|}
@@ -169,11 +163,14 @@ class TruncatedSystem:
                 -h * c * np.stack((powers, 1.0 / powers))[:, None, :span],
                 powers[:span] * np.exp(lam * h)))  # w^{j+1}, a carry's weights
         nfft = _fft_length(n) if path == "fft" else None
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+            stencil_fft = np.fft.rfft(stencil, nfft) if nfft else None
+        if nfft and not np.all(np.isfinite(stencil_fft)):
+            raise ValueError("the stencil's transform overflows")
         object.__setattr__(self, "stencil", stencil)
         object.__setattr__(self, "convolution", path)
         object.__setattr__(self, "fft_length", nfft)
-        object.__setattr__(self, "_stencil_fft",
-                           np.fft.rfft(stencil, nfft) if nfft else None)
+        object.__setattr__(self, "_stencil_fft", stencil_fft)
 
     @property
     def use_fast(self) -> bool:

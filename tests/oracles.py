@@ -40,11 +40,11 @@ def direct_rhs(system, v):
     return convolve_rhs_direct(system.stencil, g, system.grid.h)
 
 
-def as_table(system):
+def as_table(system, fast_mode="auto"):
     """The system's sampled stencil with no tail, as a table's system: the
-    direct path below FAST_CONV_MIN_N and the FFT path from it upward."""
+    FFT path at every N, or the direct sum that ``fast_mode="off"`` forces."""
     return TruncatedSystem(grid=system.grid, stencil=system.stencil,
-                           nonlinearity=system.nonlinearity)
+                           nonlinearity=system.nonlinearity, fast_mode=fast_mode)
 
 
 def boundary_flux(kernel, nonlinearity, state):

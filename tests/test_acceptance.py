@@ -52,7 +52,6 @@ from nlwave import (
 )
 from nlwave.experiments import run_single
 from nlwave.problems import bbm_problem, rosenau_problem
-from nlwave.system import FAST_CONV_MIN_N
 from oracles import as_table, boundary_flux, direct_rhs, fit_observed_order
 
 RATE_WINDOW = (1.8, 2.2)
@@ -232,9 +231,8 @@ def test_supplement_top_hat_first_order_oracle():
                        f"(<= 1.0)")
     assert all(0.9 <= r <= 1.1 for r in on_rates), on_rates
     assert off_ratio <= 1.0, [e / h for h, e in zip(hs, off_errs)]
-    # from FAST_CONV_MIN_N upward a tabulated kernel takes the FFT path
-    assert all(r.convolution == "fft" for r in on_records + off_records
-               if r.n_half >= FAST_CONV_MIN_N)
+    # a kernel without a tail takes the FFT path at every N
+    assert all(r.convolution == "fft" for r in on_records + off_records)
 
 
 def test_criterion_03_truncation_plateau(truncation_sweep):
@@ -330,8 +328,8 @@ def test_criterion_05_quadrature_orders():
 
 def test_criterion_06_convolution_path_equivalence():
     # the tail path these kernels take at every N, and the FFT path of their
-    # sampled stencils as a table's from FAST_CONV_MIN_N up, against the
-    # direct sum of the stencil
+    # sampled stencils as a table's, also at every N, against the direct sum
+    # of the stencil
     rng = np.random.default_rng(20240506)
     worst = 0.0
     paths = set()
@@ -340,9 +338,7 @@ def test_criterion_06_convolution_path_equivalence():
     for kernel, f, n in cases:
         grid = Grid(h=0.1, n_half=n)
         tail = build_system(kernel, grid, f)
-        systems = [tail]
-        if n >= FAST_CONV_MIN_N:
-            systems.append(as_table(tail))
+        systems = [tail, as_table(tail)]
         paths.update((n, system.convolution) for system in systems)
         for _ in range(100):
             v = rng.uniform(-1.0, 1.0, grid.node_count)
@@ -350,8 +346,8 @@ def test_criterion_06_convolution_path_equivalence():
             for system in systems:
                 diff = np.max(np.abs(system.rhs_values(v) - ref))
                 worst = max(worst, float(diff))
-    ok = worst < 1e-12 and paths == {
-        (32, "tail"), (64, "tail"), (256, "tail"), (400, "tail"), (256, "fft"), (400, "fft")}
+    ok = worst < 1e-12 and paths == {(n, path) for n in (32, 64, 256, 400)
+                                     for path in ("tail", "fft")}
 
     # timing record at N = 1024 (no hard threshold)
     grid = Grid(h=0.1, n_half=1024)

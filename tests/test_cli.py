@@ -17,7 +17,7 @@ import nlwave.config
 from nlwave import IntegratorConfig, bbm_problem, rosenau_problem
 from nlwave.cli import main
 from nlwave.config import _EQUATION_KEYS, _KEYS, ConfigError, RunConfig, load_run_config
-from nlwave.system import FAST_CONV_MIN_N, _fft_length
+from nlwave.system import _fft_length
 
 BBM_EQUATION = "kind = bbm\np = 1\nc = 1.8\nx0 = -3.0"
 CUSTOM_EQUATION = "kind = custom\nkernel_file = kernel.txt\nnonlinearity = 1:1.0"
@@ -132,16 +132,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "decay"])
     def test_summary_reports_the_fft_cycle(self, tmp_path, command):
-        # N = FAST_CONV_MIN_N is the smallest grid on the FFT path, which a
-        # tabulated kernel takes there; bbm takes its tail path at every N
-        grid = dict(t_end=0.1, half=0.05 * FAST_CONV_MIN_N, h=0.05)
+        # a tabulated kernel takes the FFT path at every N, here N = 100;
+        # bbm takes its tail path at every N
+        grid = dict(t_end=0.1, half=5.0, h=0.05)
         cfg, outdir = write_config(tmp_path, name="custom.ini",
                                    outdir=str(tmp_path / "custom"),
                                    equation=CUSTOM_EQUATION,
                                    kernel=TRIANGLE_KERNEL, **grid)
         assert main([command, "--config", cfg]) == 0
         summary = read_json(os.path.join(outdir, "summary.json"))
-        assert summary["fft_length"] == _fft_length(FAST_CONV_MIN_N)
+        assert summary["fft_length"] == _fft_length(100)
         assert summary["convolution"] == "fft"
         cfg, outdir = write_config(tmp_path, **grid)
         assert main([command, "--config", cfg]) == 0
@@ -434,6 +434,7 @@ class TestDefaults:
         assert cfg.integrator == IntegratorConfig()
         assert cfg == RunConfig(problem=problem(), domain_half_width=12.0,
                                 h=0.25, t_end=1.0)
+        assert cfg.study() is cfg  # the benchmark's set-up probe still calls it
 
     @pytest.mark.parametrize("section, key", [
         ("output", "dir"), ("equation", "c"), ("equation", "x0"),
@@ -862,5 +863,29 @@ class TestEntryPoint:
                                    kernel="-1 1e308\n1 1e308\n")
         proc = run_module("simulate", "--config", cfg)
         assert proc.returncode == 2
-        assert proc.stderr == "nlwave: config error: stencil entries must be finite\n"
+        assert proc.stderr == "nlwave: config error: the stencil's transform overflows\n"
+        assert not os.path.exists(outdir)
+
+    def test_stencil_whose_transform_overflows_refused_without_a_warning(self, tmp_path):
+        # the same top hat at h = 0.5 and 1: its difference quotients are
+        # finite, but their FFT overflows on every grid, from the loader's
+        # three-node check to the run's N = 250
+        cfg, outdir = write_config(tmp_path, equation=CUSTOM_EQUATION, half=125.0, h=0.5,
+                                   h_list="1.0, 0.5", kernel="-1 1e308\n1 1e308\n")
+        proc = run_module("simulate", "--config", cfg)
+        assert proc.returncode == 2
+        assert proc.stderr == "nlwave: config error: the stencil's transform overflows\n"
+        assert not os.path.exists(outdir)
+
+    def test_enormous_finite_f_of_the_initial_state_fails_the_integration(self, tmp_path):
+        # a top hat of height 1e300: |f(y0)| is finite, but its scaled norm
+        # overflows, and the first step underflows; no traceback
+        equation = (CUSTOM_EQUATION.replace("1:1.0", "1:1.0, 2:1.0") + "\ninitial = sech"
+                    "\ninitial_amplitude = 0.3\ninitial_width = 2.0")
+        cfg, outdir = write_config(tmp_path, equation=equation, half=10.0, h=0.25,
+                                   kernel="-1 1e300\n1 1e300\n")
+        proc = run_module("simulate", "--config", cfg)
+        assert proc.returncode == 1
+        assert proc.stderr == ("nlwave: integration failed: step size underflow at t=0 "
+                               "on the N=40 grid\n")
         assert not os.path.exists(outdir)

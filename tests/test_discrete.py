@@ -20,17 +20,17 @@ from nlwave import (
     tabulated_kernel,
 )
 from nlwave.discrete import MAX_N_HALF
-from nlwave.system import FAST_CONV_MIN_N
 from oracles import as_table, direct_rhs, fit_observed_order
 
 
-def convolution_system(w, h):
+def convolution_system(w, h, fast_mode="auto"):
     """The truncated system of ``w`` on lags ``-N..N`` (zero beyond) as the
-    stencil and ``f(u) = u``, on the path it picks for a table."""
+    stencil and ``f(u) = u``, on the path it picks for a table, FFT, or on
+    the direct sum that ``fast_mode="off"`` forces."""
     n = (w.size - 1) // 2
     return TruncatedSystem(grid=Grid(h=h, n_half=n), stencil=np.pad(w, n),
                            nonlinearity=Nonlinearity(((1, 1.0),)),
-                           blow_up_threshold=math.inf)
+                           blow_up_threshold=math.inf, fast_mode=fast_mode)
 
 
 def convolve(w, v, h):
@@ -159,32 +159,36 @@ class TestDiscreteConvolution:
         np.testing.assert_allclose(out, v, rtol=0, atol=1e-15)
 
     def test_indicator_example(self):
+        # exact on the direct sum; the FFT path agrees with it to roundoff
         w = np.array([0, 0, 1, 1, 1, 0, 0], dtype=float)
         v = np.array([0, 0, 0, 1, 0, 0, 0], dtype=float)
-        out = convolve(w, v, 0.5)
-        np.testing.assert_allclose(out, [0, 0, 0.5, 0.5, 0.5, 0, 0])
+        system = convolution_system(w, 0.5)
+        assert system.convolution == "fft"
+        np.testing.assert_array_equal(-direct_rhs(system, v), [0, 0, 0.5, 0.5, 0.5, 0, 0])
+        assert np.max(np.abs(system.rhs_values(v) - direct_rhs(system, v))) < 1e-12
 
     @pytest.mark.parametrize(
         "n_half, fast, seed, tol",
         [
             pytest.param(64, False, 20240502, 1e-12, id="False"),
-            pytest.param(FAST_CONV_MIN_N, True, 20240502, 1e-12, id="True"),
+            pytest.param(250, True, 20240502, 1e-12, id="True"),
             pytest.param(24, False, 314, 1e-13, id="False-n24"),
         ],
     )
     def test_matches_double_loop_oracle(self, n_half, fast, seed, tol):
-        # N decides whether the FFT path runs
+        # the FFT path a table takes, or the direct sum that is the engine of
+        # the tests' oracle direct_rhs, forced by fast_mode="off"
         g = Grid(h=0.25, n_half=n_half)
         rng = np.random.default_rng(seed)
         w = rng.uniform(-1, 1, g.node_count)
         v = rng.uniform(-1, 1, g.node_count)
-        system = convolution_system(w, g.h)
+        system = convolution_system(w, g.h, "auto" if fast else "off")
         assert system.use_fast == fast
         expected = conv_oracle(w, v, g.h)
         assert np.max(np.abs(-system.rhs_values(v) - expected)) < tol
 
     def test_fast_equals_direct(self):
-        g = Grid(h=0.1, n_half=FAST_CONV_MIN_N)
+        g = Grid(h=0.1, n_half=250)
         rng = np.random.default_rng(11)
         w = rng.standard_normal(g.node_count)
         v = rng.standard_normal(g.node_count)
@@ -208,15 +212,16 @@ class TestDiscreteConvolution:
     def test_young_inequality(self):
         # max |rhs| <= sum_k h |stencil_k| * max |f(v)|, the bound behind
         # the stencil-norm stability argument, on every convolution path:
-        # rosenau's tail, and its sampled stencil as a table's, direct at
-        # N = 40 and FFT at FAST_CONV_MIN_N
+        # rosenau's tail, and its sampled stencil as a table's, FFT at
+        # N = 40 and 250, and the direct sum that fast_mode="off" forces
         rng = np.random.default_rng(5)
-        for n in (40, FAST_CONV_MIN_N):
+        for n in (40, 250):
             g = Grid(h=0.2, n_half=n)
             tail = build_system(rosenau_kernel(), g, Nonlinearity.rosenau())
             table = as_table(tail)
-            assert table.convolution == ("direct" if n < FAST_CONV_MIN_N else "fft")
-            for system in (tail, table):
+            direct = as_table(tail, "off")
+            assert (table.convolution, direct.convolution) == ("fft", "direct")
+            for system in (tail, table, direct):
                 for _ in range(20):
                     v = rng.uniform(-1, 1, g.node_count)
                     fv = system.nonlinearity.evaluate_values(v)

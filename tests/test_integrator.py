@@ -30,7 +30,6 @@ from nlwave import (
     tabulated_kernel,
 )
 from nlwave.integrator import _A, _B, _E3, _E5, TrajectoryStack, _initial_steps
-from nlwave.system import FAST_CONV_MIN_N
 from oracles import even_kernels, nonlinearities
 
 
@@ -85,8 +84,8 @@ def f_overflow():
 def fft_convolution_overflow():
     # finite f(v) whose transform-side accumulation still overflows, at an
     # infinite threshold: only the finiteness rule can stop it.  A table
-    # takes the FFT path from FAST_CONV_MIN_N up
-    g = Grid(h=0.5, n_half=FAST_CONV_MIN_N)
+    # takes the FFT path at every N
+    g = Grid(h=0.5, n_half=250)
     system = build_system(tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]), g,
                           Nonlinearity(((1, 1.0),)), blow_up_threshold=math.inf)
     assert system.convolution == "fft"
@@ -368,6 +367,17 @@ class TestStepControl:
         with pytest.raises(StepFailureError,
                            match="step size underflow at t=0 on the N=40 grid"):
             integrate(system, initial_data(bbm_solitary(x0=-3.0), g), 1.0, config=cfg)
+
+    def test_enormous_finite_f_of_the_initial_state_underflows_the_step(self):
+        # a tail of height 1e300 makes |f(y0)| finite, near 1e300, but its
+        # scaled norm |f(y0)| / (abs_tol + rel_tol |y0|) overflows, so the
+        # first step's estimate is 0: the controller's underflow, not a
+        # division by zero
+        g = Grid(h=0.25, n_half=40)
+        system = build_system(Kernel(tail=(1e300, -1.0)), g, Nonlinearity.bbm(1))
+        with pytest.raises(StepFailureError,
+                           match="step size underflow at t=0 on the N=40 grid"):
+            integrate(system, restrict(lambda x: 0.3 / np.cosh(x / 2), g), 0.5)
 
     @pytest.mark.parametrize("case", list(BLOW_UP_CASES))
     def test_blow_up_propagates(self, case):

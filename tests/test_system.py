@@ -24,7 +24,6 @@ from nlwave import (
 )
 from nlwave.system import (
     DEFAULT_BLOW_UP_THRESHOLD,
-    FAST_CONV_MIN_N,
     _fft_length,
     convolve_rhs_direct,
 )
@@ -215,7 +214,7 @@ class TestBuildSystem:
     def test_fine_grid_keeps_its_tail(self):
         # at h = 1e-4 the tail path and the direct sum of the sampled
         # stencil, which rounds by about eps |a| / h, still agree to 1e-12
-        g = Grid(h=1e-4, n_half=FAST_CONV_MIN_N)
+        g = Grid(h=1e-4, n_half=250)
         v = np.random.default_rng(4).uniform(-1.0, 1.0, g.node_count)
         for kernel in (bbm_kernel(), rosenau_kernel()):
             tail = build_system(kernel, g, Nonlinearity.bbm(1))
@@ -234,6 +233,15 @@ class TestBuildSystem:
         kernel = tabulated_kernel([-1.0, 1.0], [1e308, 1e308])
         with pytest.raises(ValueError, match="stencil entries must be finite"):
             build_system(kernel, Grid(h=0.25, n_half=8), Nonlinearity.bbm(1))
+
+    @pytest.mark.parametrize("n_half", [1, 250])
+    def test_stencil_whose_transform_overflows_refused(self, n_half):
+        # a top hat of height 1e308 at h = 0.5: its difference quotients
+        # are +-1e308, finite, but their FFT adds them past the largest
+        # float; the build refuses it, and numpy says nothing
+        kernel = tabulated_kernel([-1.0, 1.0], [1e308, 1e308])
+        with pytest.raises(ValueError, match="the stencil's transform overflows"):
+            build_system(kernel, Grid(h=0.5, n_half=n_half), Nonlinearity.bbm(1))
 
     def test_kernel_infinite_on_an_interval_refused(self):
         # inside (-1, 1) beta is inf, so the central differences there are
@@ -272,12 +280,14 @@ class TestRhs:
         lags = system.stencil[g.n_half : 3 * g.n_half + 1]
         np.testing.assert_allclose(out, -g.h * lags, rtol=0, atol=1e-15)
 
-    # bbm's sampled stencil as a table's: the FFT path on at FAST_CONV_MIN_N, off at N = 64
-    @pytest.mark.parametrize("n_half", [FAST_CONV_MIN_N, 64], ids=["on", "off"])
-    def test_matches_double_loop_oracle(self, n_half):
+    # bbm's sampled stencil as a table's: the FFT path on at N = 250, or off,
+    # the direct sum, at N = 64
+    @pytest.mark.parametrize("n_half, fast_mode", [(250, "auto"), (64, "off")],
+                             ids=["on", "off"])
+    def test_matches_double_loop_oracle(self, n_half, fast_mode):
         g = Grid(h=0.25, n_half=n_half)
-        system = as_table(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)))
-        assert system.use_fast == (n_half >= FAST_CONV_MIN_N)
+        system = as_table(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)), fast_mode)
+        assert system.use_fast == (fast_mode == "auto")
         rng = np.random.default_rng(99)
         v = rng.uniform(-1, 1, g.node_count)
         fv = Nonlinearity.bbm(1).evaluate_values(v)
@@ -294,23 +304,22 @@ class TestRhs:
         out = convolve_rhs_direct(stencil, g, h)
         assert np.max(np.abs(out - expected)) < 1e-13
 
-    def test_path_threshold(self):
-        # FAST_CONV_MIN_N gates only the FFT path: a tabulated kernel takes
-        # the direct path below it and the FFT path from it upward, the
-        # kernels that declare a tail take the tail path on both sides
+    def test_path_follows_the_kernel_form(self):
+        # the kernel's form alone picks the path, at every N: a tabulated
+        # kernel takes the FFT path, the kernels that declare a tail take the
+        # tail path, and fast_mode="off" forces the direct sum on all three
         triangle = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-        for kernel, below, path in ((triangle, "direct", "fft"),
-                                    (bbm_kernel(), "tail", "tail"),
-                                    (rosenau_kernel(), "tail", "tail")):
-            small, large = (build_system(kernel, Grid(h=0.5, n_half=n),
-                                         Nonlinearity.bbm(1))
-                            for n in (FAST_CONV_MIN_N - 1, FAST_CONV_MIN_N))
-            assert small.convolution == below
-            assert not small.use_fast and small.fft_length is None
-            assert large.convolution == path
-            assert large.use_fast == (path == "fft")
-            assert large.fft_length == (
-                _fft_length(FAST_CONV_MIN_N) if path == "fft" else None)
+        for kernel, path in ((triangle, "fft"), (bbm_kernel(), "tail"),
+                             (rosenau_kernel(), "tail")):
+            for n in (1, 2, 249, 250):
+                g = Grid(h=0.5, n_half=n)
+                auto = build_system(kernel, g, Nonlinearity.bbm(1))
+                assert auto.convolution == path
+                assert auto.use_fast == (path == "fft")
+                assert auto.fft_length == (_fft_length(n) if path == "fft" else None)
+                off = build_system(kernel, g, Nonlinearity.bbm(1), fast_mode="off")
+                assert off.convolution == "direct"
+                assert not off.use_fast and off.fft_length is None
 
     @pytest.mark.parametrize("kernel, f, h", [
         (bbm_kernel(), Nonlinearity.bbm(1), 0.1),
@@ -333,25 +342,15 @@ class TestRhs:
 
     def test_grid_past_the_old_tail_cap_stays_on_the_tail(self):
         # the largest tail weight e^{2Nh} is e^{450} at h = 0.9, under 1e200,
-        # and e^{500} at h = 1, past it: the second grid runs in two blocks
-        n = FAST_CONV_MIN_N
+        # and e^{500} at h = 1, past it, as is e^{480} at h = 1, N = 240:
+        # those two grids run in two blocks
         rng = np.random.default_rng(8)
-        for h in (0.9, 1.0):
+        for h, n in ((0.9, 250), (1.0, 250), (1.0, 240)):
             g = Grid(h=h, n_half=n)
             auto = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
             assert auto.convolution == "tail" and auto.fft_length is None
             v = rng.uniform(-1.0, 1.0, g.node_count)
             assert np.max(np.abs(auto.rhs_values(v) - direct_rhs(auto, v))) < 1e-12
-
-    def test_grid_past_the_old_tail_cap_below_the_constant_stays_on_the_tail(self):
-        # e^{2Nh} is e^{480} at h = 1, N = 240: past 1e200, below
-        # FAST_CONV_MIN_N, where the direct path used to take over
-        assert 240 < FAST_CONV_MIN_N
-        g = Grid(h=1.0, n_half=240)
-        auto = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
-        assert auto.convolution == "tail" and auto.fft_length is None
-        v = np.random.default_rng(9).uniform(-1.0, 1.0, g.node_count)
-        assert np.max(np.abs(auto.rhs_values(v) - direct_rhs(auto, v))) < 1e-12
 
     @pytest.mark.parametrize("kernel, decay", [(bbm_kernel(), 4.0), (rosenau_kernel(), 5.0)],
                              ids=["bbm", "rosenau"])
@@ -376,12 +375,14 @@ class TestRhs:
     def test_mesh_coarser_than_the_tail_limit_refused(self, kernel):
         # past h |Re lambda| = 8 the mesh does not resolve the kernel, and the
         # tail path's sums would lose digits; the same values with no tail,
-        # as a table's, still build on the direct sum
+        # as a table's, still build on the FFT path
         g = Grid(h=8.01 / abs(kernel.tail[1].real), n_half=3)
         with pytest.raises(ValueError, match=r"h \|Re lambda\| = 8.01 > 8"):
             build_system(kernel, g, Nonlinearity.bbm(1))
-        direct = build_system(Kernel(evaluate=kernel.evaluate), g, Nonlinearity.bbm(1))
-        assert direct.convolution == "direct"
+        table = build_system(Kernel(evaluate=kernel.evaluate), g, Nonlinearity.bbm(1))
+        assert table.convolution == "fft"
+        v = np.random.default_rng(3).uniform(-1.0, 1.0, g.node_count)
+        assert np.max(np.abs(table.rhs_values(v) - direct_rhs(table, v))) < 1e-12
 
     def test_tail_sums_keep_headroom_past_the_blow_up_threshold(self):
         # |v| up to the default threshold 1e6 makes |f(v)| about 1.2e31; the
@@ -406,11 +407,11 @@ class TestRhs:
             assert not any(is_5_smooth(m) for m in range(4 * n + 1, length))
 
     def test_fft_path_matches_direct_at_tight_cycles(self):
-        # the FFT path runs at the tight N from FAST_CONV_MIN_N up, where its
-        # cycle is 4N+1 with no slack.  A tent wider than the window keeps the
-        # stencil at lag 2N, which a cycle one shorter would fold onto lag 0
-        tight = [n for n in range(FAST_CONV_MIN_N, 1000) if is_5_smooth(4 * n + 1)]
-        assert tight == [281, 506, 781, 911]
+        # a table takes the FFT path at every N, and at these its cycle is
+        # 4N+1 with no slack.  A tent wider than the window keeps the stencil
+        # at lag 2N, which a cycle one shorter would fold onto lag 0
+        tight = [n for n in range(1, 1000) if is_5_smooth(4 * n + 1)]
+        assert tight == [1, 2, 6, 11, 20, 31, 56, 101, 156, 182, 281, 506, 781, 911]
         rng = np.random.default_rng(17)
         for n in tight:
             g = Grid(h=0.3, n_half=n)
@@ -423,14 +424,16 @@ class TestRhs:
     @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()],
                              ids=["bbm", "rosenau"])
     # the system the kernel builds at N = 48 (the tail path), and its sampled
-    # stencil as a table's, with the FFT path on (at FAST_CONV_MIN_N) or off
-    @pytest.mark.parametrize("n_half, path", [(48, "tail"), (FAST_CONV_MIN_N, "fft"),
+    # stencil as a table's, with the FFT path on (at N = 250) or off (the
+    # direct sum, at N = 48)
+    @pytest.mark.parametrize("n_half, path", [(48, "tail"), (250, "fft"),
                                               (48, "direct")], ids=["auto", "on", "off"])
     def test_stacked_rows_match_their_own_grids(self, kernel, n_half, path):
         # a stack of states of the grid's width: each row's output is its own
         # state's on every path (padding narrower grids is integrate's job)
         system = build_system(kernel, Grid(h=0.25, n_half=n_half), Nonlinearity.bbm(1))
-        system = system if path == "tail" else as_table(system)
+        if path != "tail":
+            system = as_table(system, "off" if path == "direct" else "auto")
         assert system.convolution == path
         v = np.random.default_rng(11).uniform(-1.0, 1.0, (3, system.grid.node_count))
         out = system.rhs_values(v)
@@ -479,14 +482,16 @@ class TestRhs:
         scale = np.max(np.convolve(sampled_terms(system), g))
         assert np.max(np.abs(system.rhs_values(v) - direct_rhs(system, v))) <= 1e-13 * scale
 
-    # bbm's sampled stencil as a table's: the FFT path on at FAST_CONV_MIN_N, off at N = 64
-    @pytest.mark.parametrize("n_half", [FAST_CONV_MIN_N, 64], ids=["on", "off"])
-    def test_wrong_state_length_rejected(self, n_half):
+    # bbm's sampled stencil as a table's: the FFT path on at N = 250, or off,
+    # the direct sum, at N = 64
+    @pytest.mark.parametrize("n_half, fast_mode", [(250, "auto"), (64, "off")],
+                             ids=["on", "off"])
+    def test_wrong_state_length_rejected(self, n_half, fast_mode):
         # both table paths would otherwise return a wrong-length answer;
         # a (1, 2N+1) array is a stack of one state, not a wrong length
         g = Grid(h=0.5, n_half=n_half)
-        system = as_table(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)))
-        assert system.use_fast == (n_half >= FAST_CONV_MIN_N)
+        system = as_table(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)), fast_mode)
+        assert system.use_fast == (fast_mode == "auto")
         for shape in (100, (1, 100), (1, 1, g.node_count)):
             with pytest.raises(ValueError):
                 system.rhs_values(np.zeros(shape))
@@ -542,9 +547,12 @@ class TestApplyNonlinearity:
     """The right-hand side applies f entrywise."""
 
     def test_entrywise(self):
+        # exact on the direct sum; the FFT path, which a stencil without a
+        # tail takes, agrees with it to roundoff
         system = identity_stub(Nonlinearity.bbm(1))
-        out = system.rhs_values(np.array([0.0, 2.0, -1.0]))
-        np.testing.assert_allclose(out, [0.0, 6.0, 0.0])
+        v = np.array([0.0, 2.0, -1.0])
+        np.testing.assert_array_equal(direct_rhs(system, v), [0.0, 6.0, 0.0])
+        assert np.max(np.abs(system.rhs_values(v) - direct_rhs(system, v))) < 1e-12
 
 
 class TestDiscreteMass:
