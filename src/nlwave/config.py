@@ -137,7 +137,7 @@ _KEYS = {
     "equation": {"kind": None, "blow_up_threshold": float},
     "grid": {"domain_half_width": float, "h": float},
     "time": {"t_end": float, "snapshots": _float_list},
-    "integrator": {"rel_tol": float, "abs_tol": float, "max_steps": float},
+    "integrator": {"rel_tol": float, "abs_tol": float},
     "study": {"h_list": _float_list, "n_list": _int_list},
     "decay": {"rate": float},
     "output": {"dir": str},
@@ -185,8 +185,9 @@ def load_run_config(path: str) -> RunConfig:
 
     Checks the INI format and the section and key names against ``_KEYS`` and
     ``_EQUATION_KEYS``; each value is checked by the class that owns it (``Grid``,
-    ``StudyConfig``, ``IntegratorConfig``, ``DecayEnvelope``, ``TruncatedSystem`` for h
-    and the blow-up threshold), and their ``ValueError`` becomes a ``ConfigError``.
+    ``StudyConfig``, ``IntegratorConfig``, ``DecayEnvelope``, ``TruncatedSystem`` for the
+    blow-up threshold and each h, in config order, naming a refused h), and their
+    ``ValueError`` becomes a ``ConfigError``.
     """
     parser = configparser.ConfigParser()
     try:
@@ -217,10 +218,13 @@ def load_run_config(path: str) -> RunConfig:
         cfg = _call(RunConfig, problem=problem, integrator=integrator, **fields)
         if cfg.decay_rate is not None:
             DecayEnvelope(rate=cfg.decay_rate)
-        for grid in {replace(g, n_half=1)  # one 3-node system per h checks it
-                     for g in (cfg.grid(), *cfg.sweep_grids(cfg.h_list, cfg.n_list))}:
-            build_system(problem.kernel, grid, problem.nonlinearity,
-                         blow_up_threshold=cfg.blow_up_threshold)
+        grids = (cfg.grid(), *cfg.sweep_grids(cfg.h_list, cfg.n_list))
+        for grid in dict.fromkeys(replace(g, n_half=1) for g in grids):  # one 3-node system per h
+            try:
+                build_system(problem.kernel, grid, problem.nonlinearity,
+                             blow_up_threshold=cfg.blow_up_threshold)
+            except ValueError as exc:
+                raise ConfigError(f"h = {grid.h}: {exc}") from exc
     except ConfigError:
         raise
     except (ValueError, OverflowError, configparser.Error) as exc:

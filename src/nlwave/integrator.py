@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import SampledSequence, _whole
+from .discrete import SampledSequence
 from .system import BlowUpError, TruncatedSystem
 
 __all__ = ["IntegratorConfig", "Trajectory", "StepFailureError", "integrate"]
@@ -87,28 +87,25 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ERROR_ORDER = 7  # of the combined estimate; sets both step-size exponents
+_MAX_STEPS = 1_000_000  # step attempts a row may make before it fails
 
 
 class StepFailureError(RuntimeError):
-    """Step size underflowed or the step budget was exhausted."""
+    """Step size underflowed or a row made ``_MAX_STEPS`` step attempts."""
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and step budget for the adaptive integrator."""
+    """Tolerances of the adaptive integrator."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
             tol = getattr(self, name)
             if not (0.0 < tol < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1)")
-        object.__setattr__(self, "max_steps", _whole(self.max_steps, "max_steps"))
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 class Trajectory(NamedTuple):
@@ -131,7 +128,7 @@ def _initial_steps(f, rows, t_max, cfg):
     for row in rows:
         f_norm = float(np.max(np.abs(row.k[1])))
         _check_state(f_norm, math.inf, 0.0, row.grid)
-        row.sc, row.rhs_calls = cfg.abs_tol + cfg.rel_tol * row.y_norm, 2  # f(y0), probe
+        row.sc = cfg.abs_tol + cfg.rel_tol * row.y_norm
         d0, row.d1 = row.y_norm / row.sc, f_norm / row.sc
         row.h = 1e-6 if (d0 < 1e-5 or row.d1 < 1e-5) else 0.01 * d0 / row.d1
         np.add(row.k[0], row.h * row.k[1], out=row.sums[0])
@@ -195,8 +192,8 @@ def integrate(
     step's state has a sup-norm above ``system.blow_up_threshold`` or a
     non-finite value, or f(y0) is non-finite; stage inputs are not checked,
     but a non-finite stage enters the step's state (0 * NaN = NaN).  Raises
-    ``StepFailureError`` when the controller underflows the step or runs out
-    of its step budget.
+    ``StepFailureError`` when the controller underflows the step or a row makes
+    ``_MAX_STEPS`` step attempts.
     """
     states = (initial,) if isinstance(initial, SampledSequence) else tuple(initial)
     if not states or any(s.grid.h != system.grid.h or s.grid.n_half > system.grid.n_half
@@ -215,8 +212,8 @@ def integrate(
         n = state.values.size
         k[0, i, :n] = state.values
         rows.append(SimpleNamespace(  # views of its own nodes; y's and sums' padding stays 0
-            grid=state.grid, t=0.0, target=0, accepted=0, rejected=0, rhs_calls=0,
-            times=[0.0], states=[state], y_norm=float(np.max(np.abs(state.values))),
+            grid=state.grid, t=0.0, target=0, accepted=0, rejected=0,
+            states=[state], y_norm=float(np.max(np.abs(state.values))),
             k=k[:, i, :n], sums=sums[:, i, :n], h_step=w[i, :, 1:],
             # one call each: the 11 stage inputs, then the new state and both estimates
             products=[(w[i, j, :j + 2], k[:j + 2, i, :n], sums[0, i, :n]) for j in range(11)]
@@ -231,14 +228,13 @@ def integrate(
         where = "on the N={.grid.n_half} grid".format  # formatted only for an error
         while active := [row for row in rows if row.target < len(targets)]:
             for row in active:  # a finished row idles on its final state
-                if row.accepted + row.rejected >= cfg.max_steps:
-                    raise StepFailureError(f"exceeded max_steps={cfg.max_steps} {where(row)}")
+                if row.accepted + row.rejected >= _MAX_STEPS:
+                    raise StepFailureError(f"made {_MAX_STEPS} step attempts {where(row)}")
                 target = targets[row.target]  # a sliver short of it is no steppable gap
                 row.clipped = target - (row.t + row.h) <= _underflow_bound(target)
                 row.h_use = target - row.t if row.clipped else row.h
                 if row.h_use <= _underflow_bound(row.t):
                     raise StepFailureError(f"step size underflow at t={row.t:.17g} {where(row)}")
-                row.rhs_calls += 11
                 np.multiply(row.h_use, _STEP, out=row.h_step)
             for i, f_out in enumerate(k[2:]):
                 for row in active:
@@ -259,13 +255,11 @@ def integrate(
                     row.t = targets[row.target] if row.clipped else row.t + row.h_use
                     row.k[0], row.y_norm = row.sums[0], y_new_norm
                     if row.clipped:
-                        row.times.append(row.t)
                         row.states.append(SampledSequence(row.grid, row.k[0]))
                         row.target += 1
                         if row.target == len(targets):
                             continue  # nothing reads f at the final state
                     # E5 and E3 weigh f(y_new) 0, so a rejected state skips it
-                    row.rhs_calls += 1
                     advanced = True
                     if row.clipped and row.h_use <= row.h:
                         continue  # a shortened step carries no error information; keep h
@@ -278,6 +272,7 @@ def integrate(
             if advanced:  # rows that stayed put get the same f(y) again
                 system.rhs_values(k[0], out=k[1])
 
-    trajectories = TrajectoryStack(Trajectory(tuple(row.times), tuple(row.states), row.accepted,
-                                              row.rejected, row.rhs_calls) for row in rows)
+    trajectories = TrajectoryStack(Trajectory(
+        (0.0, *targets), tuple(row.states), row.accepted, row.rejected,
+        12 * row.accepted + 11 * row.rejected + 1 if targets else 0) for row in rows)
     return trajectories[0] if isinstance(initial, SampledSequence) else trajectories

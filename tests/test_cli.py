@@ -314,6 +314,7 @@ class TestValidation:
         "initial_step": ("simulate",
                          dict(extra={"integrator": "initial_step = 0.01"})),
         "max_step": ("simulate", dict(extra={"integrator": "max_step = 0.1"})),
+        "max_steps": ("simulate", dict(extra={"integrator": "max_steps = 100"})),
         "decay-scale": ("decay", dict(extra={"decay": "scale = 2.0"})),
         "decay-constant": ("decay", dict(extra={"decay": "constant = 5.0"})),
         "kernel-tv": ("simulate", dict(
@@ -323,8 +324,6 @@ class TestValidation:
         "unknown-section": ("simulate", dict(extra={"outptu": "dir = elsewhere"})),
         "key-of-another-kind": ("simulate", dict(
             equation="kind = rosenau\nx0 = -2.5\np = 2")),
-        "fractional-max_steps": ("simulate",
-                                 dict(extra={"integrator": "max_steps = 100000.5"})),
         "duplicate-key": ("simulate", dict(extra={"grid": "h = 0.5"})),
         # custom kernel files the tabulated-kernel loader refuses
         "kernel-nan": ("simulate", dict(kernel="-1 0\n0 nan\n1 0\n",
@@ -380,6 +379,15 @@ class TestValidation:
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("nlwave: config error: ")
         assert set(os.listdir(tmp_path)) <= {"run.ini", "kernel.txt"}
+
+    @pytest.mark.parametrize("h, refused", [(10.0, 10.0), (0.25, 20.0)])
+    def test_refusal_names_the_first_refused_h_in_config_order(self, tmp_path, h, refused):
+        # h = 20 and h = 10 are both too coarse for bbm; the [grid] h is
+        # checked first, then h_list in its order
+        cfg, _ = write_config(tmp_path, half=40.0, h=h, h_list="20, 10")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"h = {refused}: h |Re lambda| = {refused:g} > 8: the mesh is too coarse")):
+            load_run_config(cfg)
 
     # (command, overrides, message): a config that loads, but that the
     # command refuses with exit 2 before writing anything
@@ -439,7 +447,7 @@ class TestDefaults:
     @pytest.mark.parametrize("section, key", [
         ("output", "dir"), ("equation", "c"), ("equation", "x0"),
         ("equation", "p"), ("integrator", "rel_tol"), ("integrator", "abs_tol"),
-        ("integrator", "max_steps"), ("equation", "blow_up_threshold"),
+        ("equation", "blow_up_threshold"),
         ("time", "snapshots"), ("study", "h_list"), ("study", "n_list"),
         ("decay", "rate")])
     def test_blank_value_keeps_the_owners_default(self, tmp_path, section, key):
@@ -687,7 +695,7 @@ class TestReadme:
         path.write_text(readme_block("ini"))
         cfg = load_run_config(str(path))
         assert cfg.problem.name == "bbm" and cfg.h == 0.25
-        assert cfg.snapshot_times == (0.0, 10.0, 20.0) and cfg.integrator.max_steps == 1000000
+        assert cfg.snapshot_times == (0.0, 10.0, 20.0)
         assert cfg.h_list == (0.4, 0.2, 0.1, 0.05) and len(cfg.n_list) == 11
         assert cfg.decay_rate == 0.9
 
@@ -863,7 +871,9 @@ class TestEntryPoint:
                                    kernel="-1 1e308\n1 1e308\n")
         proc = run_module("simulate", "--config", cfg)
         assert proc.returncode == 2
-        assert proc.stderr == "nlwave: config error: the stencil's transform overflows\n"
+        # the loader's three-node check passes h = 0.25, whose stencil stays
+        # inside the table, and refuses h_list's 0.5
+        assert proc.stderr == "nlwave: config error: h = 0.5: the stencil's transform overflows\n"
         assert not os.path.exists(outdir)
 
     def test_stencil_whose_transform_overflows_refused_without_a_warning(self, tmp_path):
@@ -874,7 +884,7 @@ class TestEntryPoint:
                                    h_list="1.0, 0.5", kernel="-1 1e308\n1 1e308\n")
         proc = run_module("simulate", "--config", cfg)
         assert proc.returncode == 2
-        assert proc.stderr == "nlwave: config error: the stencil's transform overflows\n"
+        assert proc.stderr == "nlwave: config error: h = 0.5: the stencil's transform overflows\n"
         assert not os.path.exists(outdir)
 
     def test_enormous_finite_f_of_the_initial_state_fails_the_integration(self, tmp_path):

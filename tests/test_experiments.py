@@ -5,11 +5,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwave import (
     ErrorRecord,
     Grid,
     IntegratorConfig,
+    Kernel,
     Nonlinearity,
     StudyConfig,
     bbm_kernel,
@@ -49,6 +52,21 @@ def short_bbm_config(**overrides):
     )
     base.update(overrides)
     return StudyConfig(**base)
+
+
+def aligned_tables(ends):
+    """Even tables on the nodes 0.25 (-m..m), m in 2..5, with values in
+    [0.1, 1] and, at the two ends, one drawn from ``ends``.
+
+    Every breakpoint lies on the coarsest mesh, h = 0.25.  Off the mesh, point
+    sampling's error constant depends on where a breakpoint falls between the
+    nodes: README's survey of random tables read rates from -9.1 to 4.9 there.
+    """
+    inner = st.integers(2, 5).flatmap(
+        lambda m: st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+    return st.tuples(inner, ends).map(lambda drawn: tabulated_kernel(
+        0.25 * np.arange(-len(drawn[0]), len(drawn[0]) + 1),
+        [drawn[1], *drawn[0][:0:-1], *drawn[0], drawn[1]]))
 
 
 class TestErrorMetric:
@@ -218,6 +236,25 @@ class TestHRefinement:
         cfg = StudyConfig(problem=problem, domain_half_width=20.0, h=0.25, t_end=2.0)
         rates = [rate for _, rate in run_h_refinement(cfg, [0.25, 0.125, 0.0625])][1:]
         assert all(0.7 <= rate <= 1.3 for rate in rates), rates
+
+    # each class of kernel and the rate window its smoothness sets
+    @pytest.mark.parametrize("kernels, window", [
+        (st.builds(lambda a, lam: Kernel(tail=(a, lam)),
+                   st.builds(complex, st.floats(0.2, 1.0), st.floats(-0.5, 0.5)),
+                   st.builds(complex, st.floats(-2.0, -0.5), st.floats(-2.0, 2.0))), (1.8, 2.2)),
+        (aligned_tables(st.just(0.0)), (1.8, 2.2)),
+        (aligned_tables(st.floats(0.1, 1.0)), (0.7, 1.3))],
+        ids=["tail", "continuous-table", "jump-table"])
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_order_follows_smoothness(self, kernels, window, data):
+        # the paper's claim: second order for a smooth kernel, first at a jump
+        kernel = data.draw(kernels)
+        problem = custom_problem(kernel, Nonlinearity(((1, 1.0), (2, 1.0))),
+                                 initial_profile=lambda x: 0.3 / np.cosh(x / 2.0))
+        cfg = StudyConfig(problem=problem, domain_half_width=20.0, h=0.25, t_end=2.0)
+        rates = [rate for _, rate in run_h_refinement(cfg, [0.25, 0.125, 0.0625])][1:]
+        assert all(window[0] <= rate <= window[1] for rate in rates), rates
 
     def test_non_nested_grids_refused_before_any_run(self, monkeypatch):
         # half-width 1: h = 0.25 and 0.2 give N = 4 and 5, the reference at

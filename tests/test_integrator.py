@@ -208,14 +208,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(abs_tol=1.0)
 
-    def test_step_limits(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_steps=0)
-        with pytest.raises(ValueError, match="whole number"):
-            IntegratorConfig(max_steps=1.5)
-        for steps in (np.int64(4), 4.0):
-            assert type(IntegratorConfig(max_steps=steps).max_steps) is int
-
 
 class TestBasicContracts:
     def test_zero_horizon_returns_initial_only(self):
@@ -351,14 +343,23 @@ class TestStepControl:
         coarse, fine = steps(0.25), steps(0.125)
         assert fine <= 2 * coarse
 
-    def test_max_steps_exceeded(self):
+    def test_max_steps_exceeded(self, monkeypatch):
         system = decay_stub()
         init = SampledSequence(system.grid, np.ones(3))
-        cfg = IntegratorConfig(max_steps=3)
+        monkeypatch.setattr("nlwave.integrator._MAX_STEPS", 3)
         # four snapshots after t=0 take at least four steps
-        with pytest.raises(StepFailureError):
-            integrate(system, init, 1.0, snapshots=[0.25, 0.5, 0.75, 1.0],
-                      config=cfg)
+        with pytest.raises(StepFailureError, match="3 step attempts on the N=1 grid"):
+            integrate(system, init, 1.0, snapshots=[0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("system", [decay_stub(), build_system(
+        bbm_kernel(), Grid(h=0.25, n_half=40), Nonlinearity.bbm(1))], ids=["stub", "bbm"])
+    def test_zero_state_grows_each_step_by_the_clamp(self, system):
+        # f(y0) = 0 sets the first step to 1e-6 and every estimate to 0, so
+        # each accepted step is _MAX_FACTOR = 5 times the last: reaching t = 1
+        # takes the least n with 1e-6 (5^n - 1) / 4 >= 1, ceil(log5(4e6 + 1))
+        zero = SampledSequence(system.grid, np.zeros(system.grid.node_count))
+        traj = integrate(system, zero, 1.0)
+        assert (traj.accepted_steps, traj.rejected_steps, traj.rhs_calls) == (10, 0, 121)
 
     def test_tolerance_below_any_step_fails_on_the_first(self):
         g = Grid(h=0.25, n_half=40)
