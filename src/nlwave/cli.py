@@ -31,7 +31,7 @@ from .experiments import (
     run_truncation_study,
 )
 from .integrator import StepFailureError
-from .system import BlowUpError
+from .system import BlowUpError, discrete_mass
 
 __all__ = ["main"]
 
@@ -114,8 +114,7 @@ def _sweep_facts(records) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig):
-    study = run_profile_study(cfg)
-    traj = study.trajectory
+    traj, record = run_profile_study(cfg)
     wave = cfg.problem.wave
     tables = {}
     for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
@@ -129,16 +128,18 @@ def cmd_simulate(cfg: RunConfig):
             rows = list(zip(x.tolist(), state.values.tolist()))
         tables[_snapshot_name(idx, t)] = (header, rows)
 
-    err = study.record.linf_error
+    err = record.linf_error
+    mass0, mass1 = discrete_mass(traj.states[0]), discrete_mass(traj.final)
+    drift = abs(mass1 - mass0)  # absolute when the initial mass is zero
     return tables, {
         "profiles": list(tables),
         "snapshot_times": list(traj.times),
         "linf_error": None if math.isnan(err) else err,
-        **_run_facts(study.record),
-        "mass_initial": study.mass_initial,
-        "mass_final": study.mass_final,
-        "relative_mass_drift": study.relative_mass_drift,
-        "wall_seconds": study.record.wall_time,
+        **_run_facts(record),
+        "mass_initial": mass0,
+        "mass_final": mass1,
+        "relative_mass_drift": drift / abs(mass0) if mass0 != 0.0 else drift,
+        "wall_seconds": record.wall_time,
     }
 
 
@@ -175,7 +176,7 @@ def cmd_truncation(cfg: RunConfig):
     rows = [
         (
             rec.record.n_half,
-            rec.domain_half_width,
+            rec.record.n_half * rec.record.h,
             rec.record.linf_error,
             rec.delta,
             rec.eps_delta,
@@ -194,8 +195,7 @@ def cmd_truncation(cfg: RunConfig):
 def cmd_decay(cfg: RunConfig):
     if cfg.decay_rate is None:
         raise ConfigError("decay needs a [decay] section with a rate")
-    study = run_profile_study(cfg)
-    traj = study.trajectory
+    traj, record = run_profile_study(cfg)
     envelope = calibrate_envelope(traj.states[0], cfg.decay_rate,
                                   cfg.problem.envelope_scale)
     wave = cfg.problem.wave
@@ -218,7 +218,7 @@ def cmd_decay(cfg: RunConfig):
         "holds_at_all_snapshots": all(holds for *_, holds in rows),
         "holds_where_exact_has_headroom":
             all(headroom_holds) if headroom_holds else None,
-        **_run_facts(study.record),
+        **_run_facts(record),
     }
 
 

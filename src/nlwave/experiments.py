@@ -18,12 +18,11 @@ from .analytic import evaluate_solitary, initial_data
 from .discrete import Grid, SampledSequence, restrict
 from .integrator import IntegratorConfig, Trajectory, _normalize_snapshots, integrate
 from .problems import Problem
-from .system import DEFAULT_BLOW_UP_THRESHOLD, build_system, discrete_mass
+from .system import DEFAULT_BLOW_UP_THRESHOLD, build_system
 
 __all__ = [
     "ErrorRecord",
     "StudyConfig",
-    "ProfileStudy",
     "TruncationRecord",
     "linf_error",
     "convergence_rate",
@@ -46,7 +45,6 @@ class ErrorRecord(NamedTuple):
 
     h: float
     n_half: int
-    t: float
     linf_error: float
     accepted_steps: int
     rejected_steps: int
@@ -161,7 +159,6 @@ def _run_rows(cfg: StudyConfig, grids: list[Grid]):
     return [(traj, ErrorRecord(
         h=traj.final.grid.h,
         n_half=traj.final.grid.n_half,
-        t=traj.times[-1],
         linf_error=(linf_error(traj.final, problem.wave, traj.times[-1])
                     if problem.wave is not None else math.nan),
         accepted_steps=traj.accepted_steps,
@@ -173,30 +170,10 @@ def _run_rows(cfg: StudyConfig, grids: list[Grid]):
     )) for traj in trajs]
 
 
-class ProfileStudy(NamedTuple):
-    """Profile-comparison output: snapshots plus the final error record."""
-
-    trajectory: Trajectory
-    record: ErrorRecord
-    mass_initial: float
-    mass_final: float
-
-    @property
-    def relative_mass_drift(self) -> float:
-        if self.mass_initial == 0.0:
-            return abs(self.mass_final - self.mass_initial)
-        return abs(self.mass_final - self.mass_initial) / abs(self.mass_initial)
-
-
-def run_profile_study(cfg: StudyConfig) -> ProfileStudy:
-    """One run at the configured resolution."""
-    traj, record = run_single(cfg, cfg.grid())
-    return ProfileStudy(
-        trajectory=traj,
-        record=record,
-        mass_initial=discrete_mass(traj.states[0]),
-        mass_final=discrete_mass(traj.final),
-    )
+def run_profile_study(cfg: StudyConfig):
+    """One run at the configured resolution; returns (trajectory, record)
+    as ``run_single`` does."""
+    return run_single(cfg, cfg.grid())
 
 
 def run_h_refinement(cfg: StudyConfig, h_values) -> list[tuple[ErrorRecord, float | None]]:
@@ -238,7 +215,6 @@ class TruncationRecord(NamedTuple):
     """Error record plus the boundary-band diagnostics of one domain size."""
 
     record: ErrorRecord
-    domain_half_width: float
     delta: float  # sup of |v| over the boundary band, over all snapshots
     eps_delta: float  # max |f| over [-delta, delta]
 
@@ -277,12 +253,7 @@ def run_truncation_study(cfg: StudyConfig, n_values) -> list[TruncationRecord]:
     for traj, rec in _run_rows(cfg, grids):
         delta = _boundary_band_sup(traj)
         eps = cfg.problem.nonlinearity.max_abs_on_interval(delta)
-        records.append(TruncationRecord(
-            record=rec,
-            domain_half_width=traj.final.grid.half_width,
-            delta=delta,
-            eps_delta=eps,
-        ))
+        records.append(TruncationRecord(record=rec, delta=delta, eps_delta=eps))
     return records
 
 

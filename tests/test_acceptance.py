@@ -40,6 +40,7 @@ from nlwave import (
     calibrate_envelope,
     check_decay,
     custom_problem,
+    discrete_mass,
     evaluate_solitary,
     integrate,
     plateau_onset,
@@ -97,7 +98,7 @@ def rosenau_config(h, half=12.0, t_end=10.0):
 
 @pytest.fixture(scope="module")
 def bbm_runs():
-    """One profile run per mesh size of the refinement protocol."""
+    """One (trajectory, record) run per mesh size of the refinement protocol."""
     t0 = time.perf_counter()
     runs = {h: run_profile_study(bbm_config(h)) for h in (0.4, 0.2, 0.1, 0.05)}
     runs["wall"] = time.perf_counter() - t0
@@ -126,7 +127,7 @@ def truncation_sweep():
 def rates_from_runs(runs, hs):
     rates = []
     for h1, h2 in zip(hs, hs[1:]):
-        e1, e2 = runs[h1].record.linf_error, runs[h2].record.linf_error
+        e1, e2 = runs[h1][1].linf_error, runs[h2][1].linf_error
         rates.append(math.log(e1 / e2) / math.log(h1 / h2))
     return rates
 
@@ -135,7 +136,7 @@ def test_criterion_01_bbm_convergence(bbm_runs):
     hs = (0.4, 0.2, 0.1, 0.05)
     for h in hs:
         golden = GOLDEN_BBM_ERRORS[h]
-        assert bbm_runs[h].record.linf_error == pytest.approx(golden, rel=1e-3)
+        assert bbm_runs[h][1].linf_error == pytest.approx(golden, rel=1e-3)
     rates = rates_from_runs(bbm_runs, hs)
     wall = bbm_runs["wall"]
     ok = all(RATE_WINDOW[0] <= r <= RATE_WINDOW[1] for r in rates)
@@ -149,7 +150,7 @@ def test_criterion_02_rosenau_convergence(rosenau_runs):
     pinned = (0.2, 0.1, 0.05)
     for h in pinned:
         golden = GOLDEN_ROS_ERRORS[h]
-        assert rosenau_runs[h].record.linf_error == pytest.approx(golden,
+        assert rosenau_runs[h][1].linf_error == pytest.approx(golden,
                                                                   rel=1e-3)
     hs = pinned + (0.025, 0.0125)
     rates = rates_from_runs(rosenau_runs, hs)
@@ -184,7 +185,7 @@ def test_supplement_rosenau_resolved_range_rates(rosenau_runs):
     hs = [0.2, 0.1]
     entries = run_h_refinement(rosenau_config(0.2), hs)
     assert [rec.linf_error for rec, _ in entries] == [
-        rosenau_runs[h].record.linf_error for h in hs]
+        rosenau_runs[h][1].linf_error for h in hs]
     assert [rate for _, rate in entries[1:]] == rates_from_runs(rosenau_runs, hs)
 
 
@@ -389,6 +390,11 @@ def test_criterion_07_linear_matrix_exponential_oracle():
     assert ok
 
 
+def relative_mass_drift(traj):
+    mass0 = discrete_mass(traj.states[0])
+    return abs(discrete_mass(traj.final) - mass0) / abs(mass0)
+
+
 def test_criterion_08_mass_conservation():
     # The protocol runs of criteria 1 and 2, with 401 snapshots each so the
     # boundary flux can be integrated in time.
@@ -398,15 +404,13 @@ def test_criterion_08_mass_conservation():
     balances, drifts = {}, {}
     for label, cfg in configs.items():
         dense = tuple(np.linspace(0.0, cfg.t_end, 401))
-        study = run_profile_study(dataclasses.replace(cfg,
-                                                      snapshot_times=dense))
-        traj = study.trajectory
+        traj, _ = run_profile_study(dataclasses.replace(cfg, snapshot_times=dense))
         flux = [boundary_flux(cfg.problem.kernel, cfg.problem.nonlinearity, s)
                 for s in traj.states]
         outflow = simpson(flux, x=np.asarray(traj.times))
-        balance = study.mass_final - study.mass_initial - outflow
-        balances[label] = abs(balance) / abs(study.mass_initial)
-        drifts[label] = study.relative_mass_drift
+        mass0, mass1 = discrete_mass(traj.states[0]), discrete_mass(traj.final)
+        balances[label] = abs(mass1 - mass0 - outflow) / abs(mass0)
+        drifts[label] = relative_mass_drift(traj)
     worst = max(balances.values())
     ok = worst < 1e-6
     announce(8, ok, f"worst relative mass balance (drift minus integrated "
@@ -423,28 +427,26 @@ def test_criterion_08_mass_conservation():
 
 def test_supplement_mass_conservation_with_margin():
     # Same runs with real boundary margin: conservation to 1e-6 and beyond.
-    wide_bbm = run_profile_study(bbm_config(0.25, half=45.0))
-    wide_ros = run_profile_study(rosenau_config(0.05, half=20.0))
-    ok = (wide_bbm.relative_mass_drift < 1e-6
-          and wide_ros.relative_mass_drift < 1e-6)
-    announce("8s", ok, f"wide-domain drifts {wide_bbm.relative_mass_drift:.2e} "
-                       f"(bbm, [-45,45]), {wide_ros.relative_mass_drift:.2e} "
-                       f"(rosenau, [-20,20])")
+    wide_bbm = relative_mass_drift(run_profile_study(bbm_config(0.25, half=45.0))[0])
+    wide_ros = relative_mass_drift(run_profile_study(rosenau_config(0.05, half=20.0))[0])
+    ok = wide_bbm < 1e-6 and wide_ros < 1e-6
+    announce("8s", ok, f"wide-domain drifts {wide_bbm:.2e} "
+                       f"(bbm, [-45,45]), {wide_ros:.2e} (rosenau, [-20,20])")
     assert ok
 
 
-def worst_envelope_ratios(study, rate, scale, wave=None):
+def worst_envelope_ratios(traj, rate, scale, wave=None):
     """Per-snapshot worst ratio under the envelope calibrated at t=0.
 
     With ``wave`` given, the ratios are those of the exact solution sampled
     at the snapshot times instead of the numeric states.
     """
-    envelope = calibrate_envelope(study.trajectory.states[0], rate, scale)
-    states = study.trajectory.states
+    envelope = calibrate_envelope(traj.states[0], rate, scale)
+    states = traj.states
     if wave is not None:
         states = [
             SampledSequence(s.grid, evaluate_solitary(wave, s.grid.nodes, t))
-            for t, s in zip(study.trajectory.times, states)
+            for t, s in zip(traj.times, states)
         ]
     return [check_decay(s, envelope).worst_ratio for s in states]
 
@@ -455,15 +457,15 @@ ENVELOPE_TIE = 1e-9
 
 
 def test_criterion_09_decay_envelopes(bbm_runs, rosenau_runs):
-    runs = [(f"bbm h={h}", bbm_runs[h], bbm_config(h).problem.wave, 1.0)
+    runs = [(f"bbm h={h}", bbm_runs[h][0], bbm_config(h).problem.wave, 1.0)
             for h in (0.4, 0.2, 0.1, 0.05)]
-    runs += [(f"rosenau h={h}", rosenau_runs[h],
+    runs += [(f"rosenau h={h}", rosenau_runs[h][0],
               rosenau_config(h).problem.wave, SQRT2)
              for h in (0.2, 0.1, 0.05)]
     worst, final, counts = {}, {}, {}
-    for label, study, wave, scale in runs:
-        numeric = worst_envelope_ratios(study, 0.9, scale)
-        exact = worst_envelope_ratios(study, 0.9, scale, wave)
+    for label, traj, wave, scale in runs:
+        numeric = worst_envelope_ratios(traj, 0.9, scale)
+        exact = worst_envelope_ratios(traj, 0.9, scale, wave)
         headroom = [i for i, r in enumerate(exact) if r < 1.0 - ENVELOPE_TIE]
         counts[label] = len(headroom)
         worst[label] = max((numeric[i] for i in headroom), default=math.inf)
@@ -489,8 +491,8 @@ def test_criterion_09_decay_envelopes(bbm_runs, rosenau_runs):
 def test_supplement_envelopes_hold_off_the_mirror_point():
     # Horizons that stop short of the mirror-symmetric configuration leave
     # the frozen t=0 envelope with real margin at every snapshot.
-    bbm = run_profile_study(bbm_config(0.25, t_end=15.0))
-    ros = run_profile_study(rosenau_config(0.05, t_end=6.0))
+    bbm, _ = run_profile_study(bbm_config(0.25, t_end=15.0))
+    ros, _ = run_profile_study(rosenau_config(0.05, t_end=6.0))
     r_bbm = worst_envelope_ratios(bbm, 0.9, 1.0)
     r_ros = worst_envelope_ratios(ros, 0.9, SQRT2)
     # the calibration snapshot itself is exactly tight (ratio 1.0)
@@ -503,10 +505,9 @@ def test_supplement_envelopes_hold_off_the_mirror_point():
 
 
 def test_criterion_10_profile_fidelity(rosenau_runs):
-    bbm = run_profile_study(bbm_config(0.25))
-    peak_bbm = float(np.max(bbm.trajectory.final.values))
-    ros = rosenau_runs[0.05]
-    peak_ros = float(np.max(ros.trajectory.final.values))
+    bbm, _ = run_profile_study(bbm_config(0.25))
+    peak_bbm = float(np.max(bbm.final.values))
+    peak_ros = float(np.max(rosenau_runs[0.05][0].final.values))
     gap_bbm = abs(peak_bbm - 1.2) / 1.2
     gap_ros = abs(peak_ros - 1.0)
     ok = gap_bbm < 0.02 and gap_ros < 0.02

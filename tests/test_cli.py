@@ -158,6 +158,39 @@ class TestSimulate:
         assert summary["linf_error"] == 0.0
         assert summary["rhs_calls"] == 0
 
+    def test_masses_are_those_of_the_first_and_last_profiles(self, tmp_path):
+        cfg, outdir = write_config(tmp_path, t_end=1.0, snapshots="0, 0.5, 1")
+        assert main(["simulate", "--config", cfg]) == 0
+        summary = read_json(os.path.join(outdir, "summary.json"))
+        first, last = (np.array([float(row[1]) for row in read_csv(
+            os.path.join(outdir, summary["profiles"][i]))[1]]) for i in (0, -1))
+        mass0, mass1 = float(0.25 * np.sum(first)), float(0.25 * np.sum(last))
+        assert (summary["mass_initial"], summary["mass_final"]) == (mass0, mass1)
+        assert mass0 != mass1  # the wave's tails carry mass across x = -12 and 12
+        assert summary["relative_mass_drift"] == abs(mass1 - mass0) / abs(mass0)
+
+    def test_zero_initial_mass_reports_zero_drift(self, tmp_path):
+        # relative drift would divide by zero; the summary reports the
+        # absolute drift, 0, as JSON with no NaN
+        cfg, outdir = write_config(tmp_path, t_end=0.5, kernel=TRIANGLE_KERNEL,
+                                   equation=CUSTOM_EQUATION + "\ninitial_amplitude = 0")
+        assert main(["simulate", "--config", cfg]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} in summary.json")
+
+        with open(os.path.join(outdir, "summary.json")) as fh:
+            summary = json.loads(fh.read(), parse_constant=refuse)
+        assert summary["mass_initial"] == summary["mass_final"] == 0.0
+        assert summary["relative_mass_drift"] == 0.0
+
+    def test_drift_from_zero_initial_mass_is_absolute(self, tmp_path, monkeypatch):
+        masses = iter([0.0, -2e-3])
+        monkeypatch.setattr(nlwave.cli, "discrete_mass", lambda state: next(masses))
+        cfg, outdir = write_config(tmp_path, t_end=0.5)
+        assert main(["simulate", "--config", cfg]) == 0
+        assert read_json(os.path.join(outdir, "summary.json"))["relative_mass_drift"] == 2e-3
+
     def test_snapshots_short_of_t_end_still_end_there(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=1.0, snapshots="0, 0.5")
         assert main(["simulate", "--config", cfg]) == 0

@@ -361,6 +361,46 @@ class TestStepControl:
         traj = integrate(system, zero, 1.0)
         assert (traj.accepted_steps, traj.rejected_steps, traj.rhs_calls) == (10, 0, 121)
 
+    @pytest.mark.parametrize("rate, y0, t_end, tol, counts", [
+        (1.0, 1.0, 10.0, 1e-10, (22, 0)), (4.0, 2.0, 3.0, 1e-6, (10, 0)),
+        (20.0, 1.0, 2.0, 1e-4, (10, 2)), (50.0, 1.0, 1.0, 1e-3, (10, 3))])
+    def test_decay_takes_the_steps_of_the_tableau_and_error_rule(self, rate, y0, t_end, tol,
+                                                                  counts):
+        # u' = -rate u on a constant state: a step of size d from y gives y R(z),
+        # err5 y |z e5^T (I - z A)^-1 1| and err3 likewise, z = -rate d, from SciPy's
+        # tableau; the documented first-step heuristic, combined estimate, acceptance
+        # and controller then fix the run's accepted and rejected steps
+        a, b, e5, e3 = dop853.A[:12, :12], dop853.B, dop853.E5[:12], dop853.E3[:12]
+        h0 = 0.01 / rate  # 0.01 |y0| / |f(y0)|
+        d1 = rate * y0 / (tol + tol * y0)  # |f(y0)| / sc
+        d = max(d1, rate * d1)  # |f(y0 + h0 f(y0)) - f(y0)| / (sc h0) = rate d1
+        h = min(100.0 * h0, (0.01 / d) ** (1 / 8), t_end)
+        t, y, accepted, rejected, margin = 0.0, y0, 0, 0, math.inf
+        while True:
+            last = t_end - (t + h) <= 16 * math.ulp(1.0) * max(t_end, 1.0)
+            step = t_end - t if last else h
+            z = -rate * step
+            k = np.linalg.solve(np.eye(12) - z * a, np.ones(12))
+            y_new = y * (1.0 + z * (b @ k))
+            sc = tol + tol * max(abs(y), abs(y_new))
+            err5, err3 = abs(y * z * (e5 @ k)) / sc, abs(y * z * (e3 @ k)) / sc
+            enorm = err5**2 / math.sqrt(err5**2 + 0.01 * err3**2)
+            margin = min(margin, abs(math.log(enorm)))
+            if enorm <= 1.0:
+                accepted += 1
+                if last:
+                    break
+                t, y = t + step, y_new
+            else:
+                rejected += 1
+            h = step * min(5.0, max(0.2, 0.9 * enorm ** (-1 / 8)))
+        # no decision is a near tie that the reference's rounding could flip
+        assert margin > 0.02 and (accepted, rejected) == counts
+        system = decay_stub(rate=rate)
+        traj = integrate(system, SampledSequence(system.grid, np.full(3, y0)), t_end,
+                         config=IntegratorConfig(rel_tol=tol, abs_tol=tol))
+        assert (traj.accepted_steps, traj.rejected_steps) == counts
+
     def test_tolerance_below_any_step_fails_on_the_first(self):
         g = Grid(h=0.25, n_half=40)
         system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
