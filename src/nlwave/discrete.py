@@ -48,10 +48,6 @@ class Grid:
         return 2 * self.n_half + 1
 
     @property
-    def half_width(self) -> float:
-        return self.n_half * self.h
-
-    @property
     def nodes(self) -> np.ndarray:
         return np.arange(-self.n_half, self.n_half + 1) * self.h
 

@@ -37,10 +37,10 @@ class ErrorRecord(NamedTuple):
     """One run's error sample plus cost metadata.
 
     The trajectory's ``accepted_steps``, ``rejected_steps`` and
-    ``rhs_calls``; ``convolution`` names the path (``"direct"``, ``"fft"``
-    or ``"tail"``) and ``fft_length`` its FFT cycle, ``None`` on the other
-    paths.  ``wall_time`` is the integration's: on a grid integrated as a
-    row of a stack, that of the whole stack, the same for every row.
+    ``rhs_calls``; ``convolution`` names the path, ``"tail"`` or ``"fft"``,
+    and ``fft_length`` its FFT cycle, ``None`` on the tail path.
+    ``wall_time`` is the integration's: on a grid integrated as a row of a
+    stack, that of the whole stack, the same for every row.
     """
 
     h: float

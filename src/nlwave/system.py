@@ -7,21 +7,22 @@ No derivative of the state ever appears, which is why the time integration
 has no mesh-size stability restriction.
 
 This module is the one place that computes that convolution, by one of
-three paths that agree to 1e-12 on every grid each accepts.  At every N, a
-kernel given by a tail, ``beta(x) = Re(a e^{lambda |x|})``, as both
-built-in kernels are, takes the tail path: its stencil is ``sign(k) Re(c
-w^|k|)``, so the sum is a prefix sum of ``w^-j f(v_j)`` from the left end
-and one of ``w^j f(v_j)`` from the right, each toward the node it serves (a
-total minus a prefix sum would cancel), in blocks whose weights stay within
-1e200.  It refuses ``h |Re lambda| > 8``, a mesh that does not resolve the
-kernel, where the sums round to ``eps e^{h |Re lambda|}``.  Any other
-kernel, such as a table, takes at every N a product of real FFTs over the
-shortest 5-smooth cycle of at least ``4N+1`` points: the cyclic convolution
-then wraps only into entries outside the window ``2N..4N`` that it reads.
-``fast_mode="off"`` forces the third path, a direct sum.  The tail weights,
-the cycle length and the stencil's transform are fixed when the system is
-built.  ``f`` is evaluated by Horner's rule.  The right-hand side checks
-only the state's shape: blow-up is a property of the trajectory, so
+two paths, picked by the kernel's form alone, which agree to 1e-12 with
+the direct sum on every grid each accepts.  At every N, a kernel given by
+a tail, ``beta(x) = Re(a e^{lambda |x|})``, as both built-in kernels are,
+takes the tail path: its stencil is ``sign(k) Re(c w^|k|)``, so the sum is
+a prefix sum of ``w^-j f(v_j)`` from the left end and one of ``w^j f(v_j)``
+from the right, each toward the node it serves (a total minus a prefix sum
+would cancel), in blocks whose weights stay within 1e200.  It refuses
+``h |Re lambda| > 8``, a mesh that does not resolve the kernel, where the
+sums round to ``eps e^{h |Re lambda|}``.  Any other kernel, such as a
+table, takes at every N a product of real FFTs over the shortest 5-smooth
+cycle of at least ``4N+1`` points: the cyclic convolution then wraps only
+into entries outside the window ``2N..4N`` that it reads.  The direct sum,
+``convolve_rhs_direct``, is no path: it is the tests' reference.  The tail
+weights, the cycle length and the stencil's transform are fixed when the
+system is built.  ``f`` is evaluated by Horner's rule.  The right-hand side
+checks only the state's shape: blow-up is a property of the trajectory, so
 ``integrate`` owns that rule.  It maps one state or a stack of states of the
 grid's width; a stack of narrower grids is a list of states, which
 ``integrate`` alone lays out as zero-padded rows.
@@ -119,21 +120,19 @@ class TruncatedSystem:
     ``sign(k) Re(c w^|k|)``, which the tail path uses in place of
     ``stencil``.  The kernel's form picks the path at every N: the tail path,
     refusing ``h |Re lambda| > 8``, else FFT, refusing a stencil whose
-    transform overflows; ``fast_mode="off"``, which only the benchmark
-    harness passes, forces the direct path.  ``convolution`` names the path
-    that runs (``"direct"``, ``"fft"`` or ``"tail"``); ``fft_length`` is
-    the FFT path's cycle length, ``None`` on the others.
+    transform overflows.  ``convolution`` names the path that runs
+    (``"tail"`` or ``"fft"``); ``fft_length`` is the FFT path's cycle
+    length, ``None`` exactly on the tail path.
     """
 
     grid: Grid
     stencil: np.ndarray
     nonlinearity: Nonlinearity
     blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD
-    fast_mode: str = "auto"
     tail: tuple[complex, complex] | None = None
     convolution: str = field(init=False)
-    fft_length: int | None = field(init=False)
-    _stencil_fft: np.ndarray | None = field(init=False, repr=False)
+    fft_length: int | None = field(init=False, default=None)
+    _stencil_fft: np.ndarray | None = field(init=False, repr=False, default=None)
     _tail_weights: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -145,14 +144,12 @@ class TruncatedSystem:
             raise ValueError("stencil entries must be finite")
         if not self.blow_up_threshold > 0:
             raise ValueError("blow-up threshold must be positive")
-        if self.fast_mode not in ("auto", "off"):
-            raise ValueError("fast_mode must be 'auto' or 'off'")
-        path = "fft" if self.fast_mode == "auto" else "direct"
-        if self.tail is not None and self.fast_mode == "auto":
+        object.__setattr__(self, "stencil", stencil)
+        if self.tail is not None:
             a, lam = self.tail
             if -lam.real * h > 8:  # the sums below round to eps e^{h|Re lambda|}
                 raise ValueError(f"h |Re lambda| = {-lam.real * h:g} > 8: the mesh is too coarse")
-            path, c = "tail", a * np.sinh(lam * h) / h  # a (w - 1/w) / 2h without cancelling
+            c = a * np.sinh(lam * h) / h  # a (w - 1/w) / 2h without cancelling
             powers = np.exp(lam * h) ** np.arange(2 * n + 1)  # w^j, j = 0..2N
             # A span of all weights within 1e200 (1e108 of headroom for |f(v)|), set by h and
             # lambda alone as in a stack row's own run; a carry's carry, times <= 1e-200, drops.
@@ -162,13 +159,14 @@ class TruncatedSystem:
                 np.stack((1.0 / powers, powers))[:, None],
                 -h * c * np.stack((powers, 1.0 / powers))[:, None, :span],
                 powers[:span] * np.exp(lam * h)))  # w^{j+1}, a carry's weights
-        nfft = _fft_length(n) if path == "fft" else None
+            object.__setattr__(self, "convolution", "tail")
+            return
+        nfft = _fft_length(n)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
-            stencil_fft = np.fft.rfft(stencil, nfft) if nfft else None
-        if nfft and not np.all(np.isfinite(stencil_fft)):
+            stencil_fft = np.fft.rfft(stencil, nfft)
+        if not np.all(np.isfinite(stencil_fft)):
             raise ValueError("the stencil's transform overflows")
-        object.__setattr__(self, "stencil", stencil)
-        object.__setattr__(self, "convolution", path)
+        object.__setattr__(self, "convolution", "fft")
         object.__setattr__(self, "fft_length", nfft)
         object.__setattr__(self, "_stencil_fft", stencil_fft)
 
@@ -200,8 +198,6 @@ class TruncatedSystem:
                 blocks[1, :, :-1] += blocks[1, :, 1:, :1] * step[::-1]
                 sums = sums[..., :2 * n + 1]
             np.subtract(sums[0].real, sums[1].real, out=g)
-        elif nfft is None:
-            convolve_rhs_direct(self.stencil, g, h, g)
         else:
             conv = np.fft.irfft(np.fft.rfft(g, nfft) * self._stencil_fft, nfft)
             np.multiply(conv[:, 2 * n : 4 * n + 1], -h, out=g)
@@ -226,14 +222,15 @@ def _fft_length(n_half: int) -> int:
     return best
 
 
-def convolve_rhs_direct(stencil: np.ndarray, g: np.ndarray, h: float, out=None) -> np.ndarray:
+def convolve_rhs_direct(stencil: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """Direct ``out_i = -sum_j h stencil_{i-j} g_j`` for ``-N <= i, j <= N``, per state.
 
-    'valid' mode of the (4N+1) x (2N+1) linear convolution is exactly this
-    lag window.
+    The tests' reference sum, which no system runs: both paths are checked
+    against it.  'valid' mode of the (4N+1) x (2N+1) linear convolution is
+    exactly this lag window.
     """
     conv = [np.convolve(stencil, row, mode="valid") for row in g.reshape(-1, g.shape[-1])]
-    return np.multiply(np.reshape(conv, g.shape), -h, out=out)
+    return np.multiply(np.reshape(conv, g.shape), -h)
 
 
 def build_system(
@@ -248,8 +245,11 @@ def build_system(
     ``stencil_k = (beta((k+1)h) - beta((k-1)h)) / 2h`` for lags ``-2N..2N``,
     from one evaluation of ``beta`` on the nodes ``-(2N+1)h..(2N+1)h``.
     The kernel's tail, from which a tail kernel's values are derived, goes
-    to the system, as does ``fast_mode``, ``"auto"`` or ``"off"``.
+    to the system, whose path it picks.  ``fast_mode`` must be ``"auto"``:
+    no path can be forced.
     """
+    if fast_mode != "auto":
+        raise ValueError(f"fast_mode must be 'auto', not {fast_mode!r}")
     h, n = grid.h, grid.n_half
     nodes = np.arange(-2 * n - 1, 2 * n + 2) * h
     beta = np.asarray(kernel.evaluate(nodes), dtype=float)
@@ -260,7 +260,6 @@ def build_system(
         stencil=stencil,
         nonlinearity=nonlinearity,
         blow_up_threshold=blow_up_threshold,
-        fast_mode=fast_mode,
         tail=kernel.tail,
     )
 

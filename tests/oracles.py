@@ -1,6 +1,6 @@
-"""Closed-form oracles of the truncated system, the direct sum every
-convolution path is checked against and a tail kernel's stencil as a table,
-the even kernels and polynomials the property tests draw, and the
+"""Closed-form oracles of the truncated system, the direct reference sum
+both convolution paths are checked against and a tail kernel's stencil as a
+table, the even kernels and polynomials the property tests draw, and the
 observed-order fit, shared by the test modules."""
 
 import math
@@ -40,11 +40,11 @@ def direct_rhs(system, v):
     return convolve_rhs_direct(system.stencil, g, system.grid.h)
 
 
-def as_table(system, fast_mode="auto"):
+def as_table(system):
     """The system's sampled stencil with no tail, as a table's system: the
-    FFT path at every N, or the direct sum that ``fast_mode="off"`` forces."""
+    FFT path at every N."""
     return TruncatedSystem(grid=system.grid, stencil=system.stencil,
-                           nonlinearity=system.nonlinearity, fast_mode=fast_mode)
+                           nonlinearity=system.nonlinearity)
 
 
 def boundary_flux(kernel, nonlinearity, state):

@@ -1,10 +1,12 @@
 """Command-line interface: config validation, CSV output, determinism."""
 
 import errno
+import functools
 import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -711,8 +713,21 @@ class TestCustomEquation:
         assert read_json(os.path.join(outdir, "summary.json"))["t_end"] == 1e-6
 
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIG_DIR = os.path.join(ROOT, "configs")
+README = os.path.join(ROOT, "README.md")
+# the benchmark's workloads: {name: ((command, config file name), ...)}
+BENCH_WORKLOADS = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"))["WORKLOADS"]
+
+
+@functools.cache
+def run_setup_probe(workload):
+    """perfbench/setup_probe.py, run once on the workload's calls against the
+    shipped configs."""
+    calls = [f"{command}:{os.path.join(CONFIG_DIR, ini)}"
+             for command, ini in BENCH_WORKLOADS[workload]]
+    return subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "setup_probe.py"),
+                           os.path.join(ROOT, "src"), *calls], capture_output=True, text=True)
 
 
 def readme_block(language):
@@ -761,48 +776,41 @@ class TestShippedConfigs:
         assert summary["holds_at_all_snapshots"] is False
         assert summary["holds_where_exact_has_headroom"] is True
 
-    # each benchmark workload's calls (perfbench/workloads.py) and the number
-    # of systems they build
-    WORKLOAD_CALLS = {
-        "sweep-bbm": ((("truncation", "bbm_truncation.ini"),
-                       ("converge", "bbm_convergence.ini")), 15),
-        "sweep-rosenau": ((("truncation", "rosenau_truncation.ini"),
-                           ("converge", "rosenau_convergence.ini")), 12),
-        "profiles": ((("simulate", "bbm_profile.ini"), ("simulate", "rosenau_profile.ini"),
-                      ("decay", "bbm_decay.ini"), ("decay", "rosenau_decay.ini")), 4),
-    }
+    # the number of systems each benchmark workload's calls build
+    WORKLOAD_SYSTEMS = {"sweep-bbm": 15, "sweep-rosenau": 12, "profiles": 4}
 
-    @pytest.mark.parametrize("workload", sorted(WORKLOAD_CALLS))
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SYSTEMS))
     def test_setup_probe_builds_every_workload_system(self, workload):
         # the benchmark times set-up with this script; it must keep working
         # against the current configuration layer and build_system
-        calls, systems = self.WORKLOAD_CALLS[workload]
-        root = os.path.join(os.path.dirname(__file__), "..")
-        proc = subprocess.run(
-            [sys.executable, os.path.join(root, "perfbench", "setup_probe.py"),
-             os.path.join(root, "src")]
-            + [f"{command}:{os.path.join(CONFIG_DIR, ini)}" for command, ini in calls],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_setup_probe(workload)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["systems"] == systems
+        assert json.loads(proc.stdout)["systems"] == self.WORKLOAD_SYSTEMS[workload]
 
     def test_tracer_finds_every_hook_point(self):
         # the benchmark's per-layer figures come from these hooks; one whose
         # function has left src/ only prints a line and blanks its figures
-        root = os.path.join(os.path.dirname(__file__), "..")
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; sys.path[:0] = sys.argv[1:]\n"
              "from tracer import Tracer\n"
              "with Tracer().hooks():\n    pass\n",
-             os.path.join(root, "src"), os.path.join(root, "perfbench")],
+             os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+    def test_setup_probe_runs_each_benchmark_workload(self, workload):
+        # the benchmark's setup_s comes from this probe: it reads
+        # RunConfig.study() and passes build_system fast_mode="auto" and
+        # blow_up_threshold, which must keep working
+        proc = run_setup_probe(workload)
+        assert proc.returncode == 0, proc.stderr
+        setup_s = json.loads(proc.stdout.splitlines()[-1])["setup_s"]
+        assert math.isfinite(setup_s) and setup_s > 0
 
     def test_bbm_convergence_study_end_to_end(self, tmp_path):
         cfg = os.path.join(CONFIG_DIR, "bbm_convergence.ini")

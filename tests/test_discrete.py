@@ -23,14 +23,13 @@ from nlwave.discrete import MAX_N_HALF
 from oracles import as_table, direct_rhs, fit_observed_order
 
 
-def convolution_system(w, h, fast_mode="auto"):
+def convolution_system(w, h):
     """The truncated system of ``w`` on lags ``-N..N`` (zero beyond) as the
-    stencil and ``f(u) = u``, on the path it picks for a table, FFT, or on
-    the direct sum that ``fast_mode="off"`` forces."""
+    stencil and ``f(u) = u``, on the path it picks for a table, FFT."""
     n = (w.size - 1) // 2
     return TruncatedSystem(grid=Grid(h=h, n_half=n), stencil=np.pad(w, n),
                            nonlinearity=Nonlinearity(((1, 1.0),)),
-                           blow_up_threshold=math.inf, fast_mode=fast_mode)
+                           blow_up_threshold=math.inf)
 
 
 def convolve(w, v, h):
@@ -70,7 +69,6 @@ class TestGrid:
         g = Grid(h=0.5, n_half=2)
         np.testing.assert_allclose(g.nodes, [-1.0, -0.5, 0.0, 0.5, 1.0])
         assert g.node_count == 5
-        assert g.half_width == 1.0
 
     def test_uniform_spacing(self):
         g = Grid(h=0.1, n_half=50)
@@ -176,16 +174,16 @@ class TestDiscreteConvolution:
         ],
     )
     def test_matches_double_loop_oracle(self, n_half, fast, seed, tol):
-        # the FFT path a table takes, or the direct sum that is the engine of
-        # the tests' oracle direct_rhs, forced by fast_mode="off"
+        # the FFT path a table takes, or the tests' reference sum direct_rhs
         g = Grid(h=0.25, n_half=n_half)
         rng = np.random.default_rng(seed)
         w = rng.uniform(-1, 1, g.node_count)
         v = rng.uniform(-1, 1, g.node_count)
-        system = convolution_system(w, g.h, "auto" if fast else "off")
-        assert system.use_fast == fast
+        system = convolution_system(w, g.h)
+        assert system.use_fast
+        out = system.rhs_values(v) if fast else direct_rhs(system, v)
         expected = conv_oracle(w, v, g.h)
-        assert np.max(np.abs(-system.rhs_values(v) - expected)) < tol
+        assert np.max(np.abs(-out - expected)) < tol
 
     def test_fast_equals_direct(self):
         g = Grid(h=0.1, n_half=250)
@@ -213,15 +211,14 @@ class TestDiscreteConvolution:
         # max |rhs| <= sum_k h |stencil_k| * max |f(v)|, the bound behind
         # the stencil-norm stability argument, on every convolution path:
         # rosenau's tail, and its sampled stencil as a table's, FFT at
-        # N = 40 and 250, and the direct sum that fast_mode="off" forces
+        # N = 40 and 250
         rng = np.random.default_rng(5)
         for n in (40, 250):
             g = Grid(h=0.2, n_half=n)
             tail = build_system(rosenau_kernel(), g, Nonlinearity.rosenau())
             table = as_table(tail)
-            direct = as_table(tail, "off")
-            assert (table.convolution, direct.convolution) == ("fft", "direct")
-            for system in (tail, table, direct):
+            assert (tail.convolution, table.convolution) == ("tail", "fft")
+            for system in (tail, table):
                 for _ in range(20):
                     v = rng.uniform(-1, 1, g.node_count)
                     fv = system.nonlinearity.evaluate_values(v)

@@ -41,7 +41,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 def record(h, err, n=10):
     return ErrorRecord(h=h, n_half=n, linf_error=err, accepted_steps=1,
                        rejected_steps=0, rhs_calls=13, wall_time=0.0,
-                       fft_length=None, convolution="direct")
+                       fft_length=None, convolution="tail")
 
 
 def short_bbm_config(**overrides):
@@ -134,14 +134,14 @@ class TestStudyConfig:
         with pytest.raises(ValueError):  # an infinite ratio, not an overflow
             short_bbm_config(domain_half_width=math.inf).grid()
 
-    def test_direct_path_forced_through_a_study(self):
-        # the benchmark harness times this run: a rosenau grid that
-        # StudyConfig's fast_mode puts on the direct sum, not the tail path
+    def test_a_study_cannot_force_the_direct_sum(self, monkeypatch):
+        # StudyConfig forwards fast_mode to build_system, which refuses "off",
+        # the direct sum no system runs, before any integration starts
         cfg = StudyConfig(problem=rosenau_problem(x0=0.0), domain_half_width=4.0,
                           h=0.2, t_end=0.5, fast_mode="off")
-        _, rec = run_single(cfg, cfg.grid())
-        assert rec.convolution == "direct" and rec.fft_length is None
-        assert rec.rhs_calls == 12 * rec.accepted_steps + 11 * rec.rejected_steps + 1
+        monkeypatch.setattr(experiments, "integrate", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match="fast_mode must be 'auto', not 'off'"):
+            run_single(cfg, cfg.grid())
 
 
 class TestProfileStudy:

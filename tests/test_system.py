@@ -1,5 +1,6 @@
 """Truncated-system assembly, right-hand side and conserved-mass diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,6 +48,21 @@ def is_5_smooth(m):
         while m % p == 0:
             m //= p
     return m == 1
+
+
+def tight_cycle_gaps():
+    """At each N below 1000 whose 4N+1 is 5-smooth, a tent table's system and
+    the gap between its FFT path and direct_rhs on a random state.  The tent
+    is wider than the window, so it keeps the stencil at lag 2N, which a
+    cycle one shorter would fold onto lag 0."""
+    rng = np.random.default_rng(17)
+    for n in (n for n in range(1, 1000) if is_5_smooth(4 * n + 1)):
+        g = Grid(h=0.3, n_half=n)
+        half = g.n_half * g.h
+        tent = tabulated_kernel([-3 * half, 0.0, 3 * half], [0.0, 1.0, 0.0])
+        fast = build_system(tent, g, Nonlinearity.bbm(1))
+        v = rng.uniform(-1.0, 1.0, g.node_count)
+        yield fast, np.max(np.abs(fast.rhs_values(v) - direct_rhs(fast, v)))
 
 
 @st.composite
@@ -250,12 +266,14 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="stencil entries must be finite"):
             build_system(kernel, Grid(h=0.25, n_half=8), Nonlinearity.bbm(1))
 
-    def test_only_the_direct_path_can_be_forced(self):
-        # the system picks its path; "off", the direct sum, is the one
-        # value besides "auto"
-        with pytest.raises(ValueError, match="fast_mode must be 'auto' or 'off'"):
-            build_system(bbm_kernel(), Grid(h=0.5, n_half=4), Nonlinearity.bbm(1),
-                         fast_mode="on")
+    def test_no_path_can_be_forced(self):
+        # the kernel's form picks the path; build_system refuses any other
+        # fast_mode than "auto", naming it
+        for mode in ("on", "off"):
+            with pytest.raises(ValueError, match=f"fast_mode must be 'auto', not '{mode}'"):
+                build_system(bbm_kernel(), Grid(h=0.5, n_half=4), Nonlinearity.bbm(1),
+                             fast_mode=mode)
+        assert "fast_mode" not in {f.name for f in dataclasses.fields(TruncatedSystem)}
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -280,14 +298,15 @@ class TestRhs:
         lags = system.stencil[g.n_half : 3 * g.n_half + 1]
         np.testing.assert_allclose(out, -g.h * lags, rtol=0, atol=1e-15)
 
-    # bbm's sampled stencil as a table's: the FFT path on at N = 250, or off,
-    # the direct sum, at N = 64
-    @pytest.mark.parametrize("n_half, fast_mode", [(250, "auto"), (64, "off")],
-                             ids=["on", "off"])
-    def test_matches_double_loop_oracle(self, n_half, fast_mode):
+    # bbm's sampled stencil as a table's, the FFT path, at N = 250 (on), or
+    # the tail path bbm's system picks at N = 64 (off)
+    @pytest.mark.parametrize("n_half, fast", [(250, True), (64, False)], ids=["on", "off"])
+    def test_matches_double_loop_oracle(self, n_half, fast):
         g = Grid(h=0.25, n_half=n_half)
-        system = as_table(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)), fast_mode)
-        assert system.use_fast == (fast_mode == "auto")
+        system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
+        if fast:
+            system = as_table(system)
+        assert system.convolution == ("fft" if fast else "tail")
         rng = np.random.default_rng(99)
         v = rng.uniform(-1, 1, g.node_count)
         fv = Nonlinearity.bbm(1).evaluate_values(v)
@@ -307,7 +326,7 @@ class TestRhs:
     def test_path_follows_the_kernel_form(self):
         # the kernel's form alone picks the path, at every N: a tabulated
         # kernel takes the FFT path, the kernels that declare a tail take the
-        # tail path, and fast_mode="off" forces the direct sum on all three
+        # tail path
         triangle = tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
         for kernel, path in ((triangle, "fft"), (bbm_kernel(), "tail"),
                              (rosenau_kernel(), "tail")):
@@ -317,9 +336,6 @@ class TestRhs:
                 assert auto.convolution == path
                 assert auto.use_fast == (path == "fft")
                 assert auto.fft_length == (_fft_length(n) if path == "fft" else None)
-                off = build_system(kernel, g, Nonlinearity.bbm(1), fast_mode="off")
-                assert off.convolution == "direct"
-                assert not off.use_fast and off.fft_length is None
 
     @pytest.mark.parametrize("kernel, f, h", [
         (bbm_kernel(), Nonlinearity.bbm(1), 0.1),
@@ -408,38 +424,35 @@ class TestRhs:
 
     def test_fft_path_matches_direct_at_tight_cycles(self):
         # a table takes the FFT path at every N, and at these its cycle is
-        # 4N+1 with no slack.  A tent wider than the window keeps the stencil
-        # at lag 2N, which a cycle one shorter would fold onto lag 0
-        tight = [n for n in range(1, 1000) if is_5_smooth(4 * n + 1)]
+        # 4N+1 with no slack (tests/test_mutants.py breaks the window and the
+        # cycle and expects the gap check to fail)
+        systems, gaps = zip(*tight_cycle_gaps())
+        tight = [system.grid.n_half for system in systems]
         assert tight == [1, 2, 6, 11, 20, 31, 56, 101, 156, 182, 281, 506, 781, 911]
-        rng = np.random.default_rng(17)
-        for n in tight:
-            g = Grid(h=0.3, n_half=n)
-            tent = tabulated_kernel([-3 * g.half_width, 0.0, 3 * g.half_width], [0.0, 1.0, 0.0])
-            fast = build_system(tent, g, Nonlinearity.bbm(1))
-            assert fast.fft_length == 4 * n + 1
-            v = rng.uniform(-1.0, 1.0, g.node_count)
-            assert np.max(np.abs(fast.rhs_values(v) - direct_rhs(fast, v))) < 1e-12
+        assert [system.fft_length for system in systems] == [4 * n + 1 for n in tight]
+        assert max(gaps) < 1e-12
 
     @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()],
                              ids=["bbm", "rosenau"])
-    # the system the kernel builds at N = 48 (the tail path), and its sampled
-    # stencil as a table's, with the FFT path on (at N = 250) or off (the
-    # direct sum, at N = 48)
+    # the system the kernel builds at N = 48 (the tail path), its sampled
+    # stencil as a table's, the FFT path, at N = 250 (on), and the tests'
+    # reference sum of that stencil at N = 48 (off)
     @pytest.mark.parametrize("n_half, path", [(48, "tail"), (250, "fft"),
-                                              (48, "direct")], ids=["auto", "on", "off"])
+                                              (48, "reference")], ids=["auto", "on", "off"])
     def test_stacked_rows_match_their_own_grids(self, kernel, n_half, path):
         # a stack of states of the grid's width: each row's output is its own
-        # state's on every path (padding narrower grids is integrate's job)
+        # state's on both paths and in the reference sum (padding narrower
+        # grids is integrate's job)
         system = build_system(kernel, Grid(h=0.25, n_half=n_half), Nonlinearity.bbm(1))
-        if path != "tail":
-            system = as_table(system, "off" if path == "direct" else "auto")
-        assert system.convolution == path
+        if path == "fft":
+            system = as_table(system)
+        assert system.convolution == ("tail" if path == "reference" else path)
+        rhs = (lambda v: direct_rhs(system, v)) if path == "reference" else system.rhs_values
         v = np.random.default_rng(11).uniform(-1.0, 1.0, (3, system.grid.node_count))
-        out = system.rhs_values(v)
+        out = rhs(v)
         assert out.shape == v.shape
         for row, state in zip(out, v):
-            assert np.max(np.abs(row - system.rhs_values(state))) < 1e-12
+            assert np.max(np.abs(row - rhs(state))) < 1e-12
         with pytest.raises(ValueError):
             system.rhs_values(v[:, :-1])
 
@@ -473,7 +486,7 @@ class TestRhs:
     @settings(even_kernel_property, max_examples=100)
     @given(even_systems())
     def test_even_kernel_paths_agree(self, case):
-        # the path the system picks (tail, FFT or direct) and the direct sum
+        # the path the system picks (tail or FFT) and the direct sum
         # of its sampled stencil sum the same terms; a scale that underflows
         # to 0 demands equal outputs
         _, system, seed = case
@@ -482,16 +495,18 @@ class TestRhs:
         scale = np.max(np.convolve(sampled_terms(system), g))
         assert np.max(np.abs(system.rhs_values(v) - direct_rhs(system, v))) <= 1e-13 * scale
 
-    # bbm's sampled stencil as a table's: the FFT path on at N = 250, or off,
-    # the direct sum, at N = 64
-    @pytest.mark.parametrize("n_half, fast_mode", [(250, "auto"), (64, "off")],
-                             ids=["on", "off"])
-    def test_wrong_state_length_rejected(self, n_half, fast_mode):
-        # both table paths would otherwise return a wrong-length answer;
-        # a (1, 2N+1) array is a stack of one state, not a wrong length
+    # bbm's sampled stencil as a table's, the FFT path, at N = 250 (on), or
+    # the tail path bbm's system picks at N = 64 (off)
+    @pytest.mark.parametrize("n_half, fast", [(250, True), (64, False)], ids=["on", "off"])
+    def test_wrong_state_length_rejected(self, n_half, fast):
+        # both paths would otherwise return a wrong-length answer or fail
+        # deep inside; a (1, 2N+1) array is a stack of one state, not a
+        # wrong length
         g = Grid(h=0.5, n_half=n_half)
-        system = as_table(build_system(bbm_kernel(), g, Nonlinearity.bbm(1)), fast_mode)
-        assert system.use_fast == (fast_mode == "auto")
+        system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
+        if fast:
+            system = as_table(system)
+        assert system.convolution == ("fft" if fast else "tail")
         for shape in (100, (1, 100), (1, 1, g.node_count)):
             with pytest.raises(ValueError):
                 system.rhs_values(np.zeros(shape))
@@ -513,7 +528,7 @@ class TestRhs:
         g = Grid(h=0.5, n_half=128)
         system = build_system(bbm_kernel(), g, Nonlinearity.bbm(1))
         v = np.exp(-(g.nodes**2))  # support within |x| <= ~6 at 1e-16
-        assert np.max(np.abs(v[np.abs(g.nodes) > g.half_width / 2])) < 1e-14
+        assert np.max(np.abs(v[np.abs(g.nodes) > g.n_half * g.h / 2])) < 1e-14
         fv = Nonlinearity.bbm(1).evaluate_values(v)
         total = abs(g.h * float(np.sum(system.rhs_values(v))))
         assert total <= 1e-10 * float(np.max(np.abs(fv)))
