@@ -14,6 +14,7 @@ is the one exception).
 
 import argparse
 import fnmatch
+import functools
 import json
 import math
 import os
@@ -55,7 +56,7 @@ def _fmt(value) -> str:
 
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -230,6 +231,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser a process: building it costs most of a call's own time
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlwave",

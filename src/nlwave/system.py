@@ -13,19 +13,21 @@ a tail, ``beta(x) = Re(a e^{lambda |x|})``, as both built-in kernels are,
 takes the tail path: its stencil is ``sign(k) Re(c w^|k|)``, so the sum is
 a prefix sum of ``w^-j f(v_j)`` from the left end and one of ``w^j f(v_j)``
 from the right, each toward the node it serves (a total minus a prefix sum
-would cancel), in blocks whose weights stay within 1e200.  It refuses
-``h |Re lambda| > 8``, a mesh that does not resolve the kernel, where the
-sums round to ``eps e^{h |Re lambda|}``.  Any other kernel, such as a
-table, takes at every N a product of real FFTs over the shortest 5-smooth
-cycle of at least ``4N+1`` points: the cyclic convolution then wraps only
-into entries outside the window ``2N..4N`` that it reads.  The direct sum,
-``convolve_rhs_direct``, is no path: it is the tests' reference.  The tail
-weights, the cycle length and the stencil's transform are fixed when the
-system is built.  ``f`` is evaluated by Horner's rule.  The right-hand side
-checks only the state's shape: blow-up is a property of the trajectory, so
-``integrate`` owns that rule.  It maps one state or a stack of states of the
-grid's width; a stack of narrower grids is a list of states, which
-``integrate`` alone lays out as zero-padded rows.
+would cancel), in blocks whose weights stay within 1e200.  A real lambda's
+two run as one complex scan, the right one mirrored: a scan is bound by its
+adds' latency, so a complex node costs what a real one does, in the same
+IEEE operations.  It refuses ``h |Re lambda| > 8``, a mesh that does not
+resolve the kernel, where the sums round to ``eps e^{h |Re lambda|}``.  Any
+other kernel, such as a table, takes at every N a product of real FFTs over
+the shortest 5-smooth cycle of at least ``4N+1`` points: the cyclic
+convolution then wraps only into entries outside the window ``2N..4N`` that
+it reads.  The direct sum, ``convolve_rhs_direct``, is the tests' reference.
+The weights, the cycle length and the stencil's transform are fixed when
+the system is built; ``f`` is evaluated by Horner's rule.  The right-hand
+side checks only the state's shape: blow-up is a property of the
+trajectory, so ``integrate`` owns that rule.  It maps one state or a stack
+of states of the grid's width; a stack of narrower grids is a list of
+states, which ``integrate`` alone lays out as zero-padded rows.
 """
 
 import math
@@ -117,10 +119,10 @@ class TruncatedSystem:
     every difference ``x_i - x_j`` of grid nodes is covered.  ``tail`` is the
     sampled kernel's ``(a, lambda)`` or ``None``; with ``w = e^{lambda h}``
     and ``c = a (w - 1/w) / 2h`` that kernel's stencil is
-    ``sign(k) Re(c w^|k|)``, which the tail path uses in place of
-    ``stencil``.  The kernel's form picks the path at every N: the tail path,
-    refusing ``h |Re lambda| > 8``, else FFT, refusing a stencil whose
-    transform overflows.  ``convolution`` names the path that runs
+    ``sign(k) Re(c w^|k|)``, which the tail path uses in place of ``stencil``,
+    as one complex scan if lambda is real.  The kernel's form picks the path:
+    the tail, refusing ``h |Re lambda| > 8``, else FFT, refusing a stencil
+    whose transform overflows.  ``convolution`` names the path that runs
     (``"tail"`` or ``"fft"``); ``fft_length`` is the FFT path's cycle
     length, ``None`` exactly on the tail path.
     """
@@ -134,6 +136,7 @@ class TruncatedSystem:
     fft_length: int | None = field(init=False, default=None)
     _stencil_fft: np.ndarray | None = field(init=False, repr=False, default=None)
     _tail_weights: tuple | None = field(init=False, repr=False, default=None)
+    _packed_weights: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         stencil = np.array(self.stencil, dtype=float, copy=True)
@@ -149,16 +152,23 @@ class TruncatedSystem:
             a, lam = self.tail
             if -lam.real * h > 8:  # the sums below round to eps e^{h|Re lambda|}
                 raise ValueError(f"h |Re lambda| = {-lam.real * h:g} > 8: the mesh is too coarse")
+            a, lam = (a.real, lam.real) if lam.imag == 0 else (a, lam)  # beta = Re(a) e^{lam|x|}
             c = a * np.sinh(lam * h) / h  # a (w - 1/w) / 2h without cancelling
             powers = np.exp(lam * h) ** np.arange(2 * n + 1)  # w^j, j = 0..2N
             # A span of all weights within 1e200 (1e108 of headroom for |f(v)|), set by h and
             # lambda alone as in a stack row's own run; a carry's carry, times <= 1e-200, drops.
             span = np.count_nonzero(abs(powers) > 1e-200)
-            powers = powers[np.arange(powers.size) % span]  # w^(j mod span)
-            object.__setattr__(self, "_tail_weights", (  # broadcast over states
-                np.stack((1.0 / powers, powers))[:, None],
-                -h * c * np.stack((powers, 1.0 / powers))[:, None, :span],
-                powers[:span] * np.exp(lam * h)))  # w^{j+1}, a carry's weights
+            if lam.imag == 0:  # weights of one complex scan of both sums, the right mirrored
+                p = powers[np.arange(span * -(-(2 * n + 1) // span)) % span]  # whole blocks
+                object.__setattr__(self, "_packed_weights", (
+                    1.0 / p[:2 * n + 1], p[:2 * n + 1], -h * c * np.stack((p, 1.0 / p[::-1]), -1),
+                    p[:span, None] * np.exp(lam * h)))  # both halves' carry weights
+            else:
+                powers = powers[np.arange(powers.size) % span]  # w^(j mod span)
+                object.__setattr__(self, "_tail_weights", (  # broadcast over states
+                    np.stack((1.0 / powers, powers))[:, None],
+                    -h * c * np.stack((powers, 1.0 / powers))[:, None, :span],
+                    powers[:span] * np.exp(lam * h)))  # w^{j+1}, a carry's weights
             object.__setattr__(self, "convolution", "tail")
             return
         nfft = _fft_length(n)
@@ -181,7 +191,20 @@ class TruncatedSystem:
             raise ValueError(f"state shape {v.shape} does not match the grid")
         out, nfft = self.nonlinearity.evaluate_values(v, out), self.fft_length
         g = out.reshape(-1, 2 * n + 1)  # a view: one row per state
-        if self._tail_weights is not None:
+        if self._packed_weights is not None:  # a real lambda: the sums below in one complex scan
+            w_left, w_right, w_out, step = self._packed_weights
+            sums = (np.empty if step.size > 2 * n else np.zeros)((len(g), len(w_out), 2))  # pad 0
+            left, right = sums[:, :2 * n + 1, 0], sums[:, :-2 * n - 2:-1, 1]  # right mirrored
+            np.multiply(g, w_left, out=left)
+            np.multiply(g, w_right, out=right)
+            blocks = sums.view(complex).reshape(-1, step.size)
+            np.add.accumulate(blocks, axis=1, out=blocks)
+            sums *= w_out
+            if step.size <= 2 * n:  # several blocks
+                blocks = sums.reshape(len(g), -1, step.size, 2)
+                blocks[:, 1:] += blocks[:, :-1, -1:] * step
+            np.subtract(left, right, out=g)
+        elif self._tail_weights is not None:
             # per block, sums[0] adds w^-j g_j rightward, sums[1] w^j g_j leftward; rescaled and
             # carried over from the neighbour block: -h c (L_i + g_i) and -h c (R_i + g_i)
             w_in, w_out, step = self._tail_weights

@@ -15,11 +15,16 @@ from nlwave.system import convolve_rhs_direct
 @st.composite
 def even_kernels(draw):
     """An even kernel and a mesh size h: a tail Re(a e^{lambda |x|}) with
-    h |Re lambda| <= 8, or a table mirrored about 0."""
+    h |Re lambda| <= 8, real (float a and lambda, as bbm's) or complex, or a
+    table mirrored about 0."""
     if draw(st.booleans()):
-        a = draw(st.floats(0.1, 2.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
-        lam = complex(-draw(st.floats(0.01, 10.0)), draw(st.floats(-10.0, 10.0)))
-        return Kernel(tail=(a, lam)), draw(st.floats(1e-3, 8.0)) / -lam.real
+        size, rate = draw(st.floats(0.1, 2.0)), draw(st.floats(0.01, 10.0))
+        if draw(st.booleans()):
+            a, lam = size * draw(st.sampled_from((-1.0, 1.0))), -rate
+        else:
+            a = size * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+            lam = complex(-rate, draw(st.floats(-10.0, 10.0)))
+        return Kernel(tail=(a, lam)), draw(st.floats(1e-3, 8.0)) / rate
     # values[0] at 0, values[1:] at xs and at -xs
     xs = np.sort(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6, unique=True)))
     values = np.divide(draw(st.lists(st.integers(-20, 20), min_size=xs.size + 1,

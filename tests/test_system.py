@@ -42,6 +42,30 @@ def rhs_oracle(stencil, h, n, g):
     return out
 
 
+def two_scan_rhs(system, v):
+    """A real tail's right-hand side as two real prefix scans, the second
+    leftward, in the blocks, weights and order of operations of the one
+    complex scan the system runs instead, so that the two agree bit for bit."""
+    n, h = system.grid.n_half, system.grid.h
+    a, lam = system.tail
+    c = a * np.sinh(lam * h) / h
+    powers = np.exp(lam * h) ** np.arange(2 * n + 1)
+    span = np.count_nonzero(abs(powers) > 1e-200)
+    powers = powers[np.arange(powers.size) % span]
+    g = system.nonlinearity.evaluate_values(v).reshape(-1, 2 * n + 1)
+    sums = np.concatenate((g * np.stack((1.0 / powers, powers))[:, None],
+                           np.zeros((2, len(g), -g.shape[1] % span))), -1)  # whole blocks
+    blocks = sums.reshape(2, -1, span)
+    np.add.accumulate(blocks[0], axis=-1, out=blocks[0])
+    np.add.accumulate(blocks[1, :, ::-1], axis=-1, out=blocks[1, :, ::-1])
+    blocks *= -h * c * np.stack((powers, 1.0 / powers))[:, None, :span]
+    blocks = sums.reshape(2, len(g), -1, span)
+    step = powers[:span] * np.exp(lam * h)
+    blocks[0, :, 1:] += blocks[0, :, :-1, -1:] * step
+    blocks[1, :, :-1] += blocks[1, :, 1:, :1] * step[::-1]
+    return (sums[0, :, :2 * n + 1] - sums[1, :, :2 * n + 1]).reshape(v.shape)
+
+
 def is_5_smooth(m):
     """Whether m has no prime factor above 5."""
     for p in (2, 3, 5):
@@ -385,6 +409,37 @@ class TestRhs:
             assert tail.convolution == "tail"
             v = rng.uniform(-1.0, 1.0, (3, g.node_count))
             assert np.max(np.abs(tail.rhs_values(v) - direct_rhs(tail, v))) < 1e-12
+
+    # bbm in one block; bbm at h = 2, span 231, in one, two and three blocks;
+    # a negative a at h |lambda| = 7.9, span 59, in one, two and seven blocks
+    @pytest.mark.parametrize("tail, h, ns", [
+        ((0.5, -1.0), 0.25, (1, 60, 120, 400)),
+        ((0.5, -1.0), 2.0, (50, 120, 300)),
+        ((-1.3, -2.7), 7.9 / 2.7, (29, 30, 200)),
+    ], ids=["bbm-one-block", "bbm-h2", "negative-a"])
+    def test_real_tail_scan_matches_two_scans_bit_for_bit(self, tail, h, ns):
+        # a real tail runs both prefix sums as one complex scan, whose every
+        # add and multiply is one of the two real scans': one state, a stack,
+        # and zero-padded rows, each summed in its own run's blocks.  For a
+        # real lambda, Re(a e^{lambda |x|}) = Re(a) e^{lambda |x|}, so a
+        # complex a, or lambda + 0j, gives the same sums
+        rng = np.random.default_rng(5)
+        f = Nonlinearity.rosenau()
+        for n in ns:
+            system = build_system(Kernel(tail=tail), Grid(h, n), f)
+            twins = [build_system(Kernel(tail=twin), Grid(h, n), f)
+                     for twin in ((tail[0] + 0.7j, tail[1]), (tail[0], complex(tail[1])))]
+            own_ns = (n, max(n // 2, 1), max(n // 3, 1))
+            v = rng.uniform(-1.0, 1.0, (3, 2 * n + 1))
+            for row, m in zip(v, own_ns):
+                row[2 * m + 1:] = 0.0
+            for state in (v[0], v):
+                assert system.rhs_values(state).tobytes() == two_scan_rhs(system, state).tobytes()
+                for twin in twins:
+                    assert twin.rhs_values(state).tobytes() == system.rhs_values(state).tobytes()
+            for row, state, m in zip(system.rhs_values(v), v, own_ns):
+                own = build_system(Kernel(tail=tail), Grid(h, m), f)
+                assert row[:2 * m + 1].tobytes() == own.rhs_values(state[:2 * m + 1]).tobytes()
 
     @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()],
                              ids=["bbm", "rosenau"])

@@ -4,8 +4,9 @@ Usage: python tools/stack_survey.py ROOT [--draws N] [--band LO HI] [--seed S]
 
 Runs against ``ROOT/src``.  Each draw is drawn like the tier-1 stack property
 (``TestStack::test_random_stack_rows_match_their_own_runs``): a tail kernel
-``Re(a e^{lambda |x|})`` with ``|a|`` in [0.1, 2], ``Re lambda`` in
-[-10, -0.01] and ``Im lambda`` in [-10, 10], a mesh size h with ``h |Re
+``Re(a e^{lambda |x|})`` with ``|a|`` in [0.1, 2] and ``Re lambda`` in
+[-10, -0.01], half of them real (float ``a`` and ``lambda``, as bbm's) and
+half complex with ``Im lambda`` in [-10, 10], a mesh size h with ``h |Re
 lambda|`` in the band, 1-3 polynomial terms ``c u^p`` (p in 1..5, |c| <= 3),
 2-4 distinct N in 1..120, states uniform in [-0.5, 0.5], ``t_end`` in
 [0.4, 0.6] and one snapshot in [0.1, 0.9] t_end.  A draw whose own runs blow
@@ -40,9 +41,13 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     stacks = identical = count_rows = 0
     for _ in range(args.draws):
-        a = rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        lam = complex(-rng.uniform(0.01, 10.0), rng.uniform(-10.0, 10.0))
-        kernel, h = Kernel(tail=(a, lam)), rng.uniform(*args.band) / -lam.real
+        size, rate = rng.uniform(0.1, 2.0), rng.uniform(0.01, 10.0)
+        if rng.random() < 0.5:
+            a, lam = size * rng.choice((-1.0, 1.0)), -rate
+        else:
+            a = size * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            lam = complex(-rate, rng.uniform(-10.0, 10.0))
+        kernel, h = Kernel(tail=(a, lam)), rng.uniform(*args.band) / rate
         f = Nonlinearity(tuple((int(rng.integers(1, 6)), int(rng.integers(-30, 31)) / 10)
                                for _ in range(rng.integers(1, 4))))
         ns = np.sort(rng.choice(np.arange(1, 121), rng.integers(2, 5), replace=False))
