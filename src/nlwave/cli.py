@@ -5,8 +5,9 @@ takes ``--config <file>`` plus an optional ``--output`` override.  A bad
 config, or inputs a study refuses, exit 2; a failed integration or write
 exits 1.  Each command returns its CSV tables and summary fields, and
 ``main`` renders every file before it writes any, into a temporary
-directory beside the output directory, then moves each file into place and
-removes the command outputs of earlier runs that it did not rewrite.
+directory beside the output directory, then removes the old ``summary.json``
+and the command outputs of earlier runs that it does not rewrite, and moves
+each file into place, ``summary.json`` last.
 All numeric CSV fields use full round-trip decimal formatting, so re-running
 a config reproduces the files byte for byte (the wall-seconds timing column
 is the one exception).
@@ -64,9 +65,11 @@ def _write_outputs(outdir: str, texts: dict) -> None:
     """Write every file into a temporary directory beside ``outdir``, then
     move each into place; the temporary directory never outlives the call.
 
-    Once every new file is in place, command outputs of earlier runs that
-    this run did not rewrite are removed, so the directory holds one run's
-    files; other files stay.
+    ``summary.json`` marks one whole run: the old one is removed before any
+    other file changes, and the new one moves in last, so a move that fails
+    leaves none.  Command outputs of earlier runs that this run does not
+    rewrite are removed too, so the directory holds one run's files; other
+    files stay.
     """
     parent = os.path.dirname(os.path.abspath(outdir))
     os.makedirs(parent, exist_ok=True)
@@ -76,12 +79,12 @@ def _write_outputs(outdir: str, texts: dict) -> None:
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         os.makedirs(outdir, exist_ok=True)
-        for name in texts:
-            os.replace(os.path.join(tmp, name), os.path.join(outdir, name))
-        for name in os.listdir(outdir):
-            if name not in texts and any(
+        for name in sorted(os.listdir(outdir), key="summary.json".__ne__):  # summary.json first
+            if name == "summary.json" or name not in texts and any(
                     fnmatch.fnmatchcase(name, p) for p in _OUTPUT_PATTERNS):
                 os.remove(os.path.join(outdir, name))
+        for name in sorted(texts, key="summary.json".__eq__):  # and summary.json last
+            os.replace(os.path.join(tmp, name), os.path.join(outdir, name))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

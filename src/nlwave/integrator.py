@@ -23,7 +23,9 @@ of one: the rows step in lockstep, one right-hand side per stage for all,
 each with its own clock, step size, snapshots, accept/reject decision and
 counts (Hairer, Norsett and Wanner, Sec. II.4), and its stage sums and norms
 over its own nodes alone; so a row of a tail kernel's stack is its own run
-bit for bit.
+bit for bit.  Each step writes all rows' step weights in one call and takes
+all their norms in one call, over the whole width: the sums' padding is 0,
+so it leaves each row's norm its own; an idle row's entries go unread.
 """
 
 import math
@@ -207,14 +209,16 @@ def integrate(
     sums = np.zeros((3, *k.shape[1:]))  # a stage input, then the new state; err5; err3
     w = np.zeros((len(states), 14, 13))  # per row: y's weight, then _STEP times h
     w[:, :12, 0] = 1.0  # the stage inputs and the new state add y; the estimates do not
+    h_use = np.zeros(len(states))  # an idle row's step size goes unread
+    stage_outputs = list(enumerate(k[2:]))  # views built once a run; spent once a step is summed
     rows = []
     for i, state in enumerate(states):
         n = state.values.size
         k[0, i, :n] = state.values
         rows.append(SimpleNamespace(  # views of its own nodes; y's and sums' padding stays 0
-            grid=state.grid, t=0.0, target=0, accepted=0, rejected=0,
+            grid=state.grid, i=i, t=0.0, target=0, accepted=0, rejected=0,
             states=[state], y_norm=float(np.max(np.abs(state.values))),
-            k=k[:, i, :n], sums=sums[:, i, :n], h_step=w[i, :, 1:],
+            k=k[:, i, :n], sums=sums[:, i, :n],
             # one call each: the 11 stage inputs, then the new state and both estimates
             products=[(w[i, j, :j + 2], k[:j + 2, i, :n], sums[0, i, :n]) for j in range(11)]
             + [(w[i, 11:], k[:, i, :n], sums[:, i, :n])]))
@@ -235,15 +239,18 @@ def integrate(
                 row.h_use = target - row.t if row.clipped else row.h
                 if row.h_use <= _underflow_bound(row.t):
                     raise StepFailureError(f"step size underflow at t={row.t:.17g} {where(row)}")
-                np.multiply(row.h_use, _STEP, out=row.h_step)
-            for i, f_out in enumerate(k[2:]):
+                h_use[row.i] = row.h_use
+            np.multiply(h_use[:, None, None], _STEP, out=w[:, :, 1:])
+            for i, f_out in stage_outputs:
                 for row in active:
                     np.matmul(*row.products[i])
                 system.rhs_values(sums[0], out=f_out)
-            advanced = False
             for row in active:
                 np.matmul(*row.products[-1])
-                y_new_norm, err5, err3 = np.abs(row.sums).max(axis=-1).tolist()
+            norms = np.abs(sums, out=k[2:5]).max(axis=-1).T.tolist()  # into spent stages
+            advanced = False
+            for row in active:
+                y_new_norm, err5, err3 = norms[row.i]
                 _check_state(y_new_norm, system.blow_up_threshold, row.t + row.h_use, row.grid)
                 sc = cfg.abs_tol + cfg.rel_tol * max(row.y_norm, y_new_norm)
                 err5, err3 = err5 / sc, err3 / sc

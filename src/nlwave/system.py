@@ -27,7 +27,9 @@ the system is built; ``f`` is evaluated by Horner's rule.  The right-hand
 side checks only the state's shape: blow-up is a property of the
 trajectory, so ``integrate`` owns that rule.  It maps one state or a stack
 of states of the grid's width; a stack of narrower grids is a list of
-states, which ``integrate`` alone lays out as zero-padded rows.
+states, which ``integrate`` alone lays out as zero-padded rows.  A real
+lambda's scan buffer is kept per stack height, so a system must not be
+called from two threads at once.
 """
 
 import math
@@ -96,9 +98,14 @@ class Nonlinearity:
         return cls(((1, 1.0), (3, -10.0), (5, 12.0)))
 
     def evaluate_values(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Entrywise evaluation, into ``out`` (not ``v``) if given (hot path, no guards)."""
+        """Entrywise evaluation, into ``out`` (not ``v``) if given (hot path, no guards);
+        a top coefficient 1 starts at ``v + c_{P-1}``: ``v * 1.0 == v``, so the same bits."""
         *low, top = self._coeffs
-        out = np.multiply(v, top, out=out)
+        if top == 1.0 and low and low[-1]:  # with c_{P-1} = 0, -0.0 + 0.0 would lose a sign
+            out = np.add(v, low.pop(), out=out)
+            out *= v
+        else:
+            out = np.multiply(v, top, out=out)
         for coeff in reversed(low):
             if coeff:
                 out += coeff
@@ -124,7 +131,8 @@ class TruncatedSystem:
     the tail, refusing ``h |Re lambda| > 8``, else FFT, refusing a stencil
     whose transform overflows.  ``convolution`` names the path that runs
     (``"tail"`` or ``"fft"``); ``fft_length`` is the FFT path's cycle
-    length, ``None`` exactly on the tail path.
+    length, ``None`` exactly on the tail path.  ``_scratch`` keeps the complex
+    scan's buffer per stack height from its first call: one thread at a time.
     """
 
     grid: Grid
@@ -137,6 +145,7 @@ class TruncatedSystem:
     _stencil_fft: np.ndarray | None = field(init=False, repr=False, default=None)
     _tail_weights: tuple | None = field(init=False, repr=False, default=None)
     _packed_weights: tuple | None = field(init=False, repr=False, default=None)
+    _scratch: dict = field(init=False, repr=False, default_factory=dict)  # stack height: buffer
 
     def __post_init__(self):
         stencil = np.array(self.stencil, dtype=float, copy=True)
@@ -193,11 +202,15 @@ class TruncatedSystem:
         g = out.reshape(-1, 2 * n + 1)  # a view: one row per state
         if self._packed_weights is not None:  # a real lambda: the sums below in one complex scan
             w_left, w_right, w_out, step = self._packed_weights
-            sums = (np.empty if step.size > 2 * n else np.zeros)((len(g), len(w_out), 2))  # pad 0
-            left, right = sums[:, :2 * n + 1, 0], sums[:, :-2 * n - 2:-1, 1]  # right mirrored
+            if len(g) not in self._scratch:  # built on a height's first call; right mirrored
+                sums = np.zeros((len(g), len(w_out), 2))
+                self._scratch[len(g)] = (sums, sums[:, :2 * n + 1, 0], sums[:, :-2 * n - 2:-1, 1],
+                                         sums.view(complex).reshape(-1, step.size))
+            sums, left, right, blocks = self._scratch[len(g)]
+            if step.size <= 2 * n:  # several blocks: the last call left its scan in the padding
+                sums[:, 2 * n + 1:, 0] = sums[:, :-2 * n - 1, 1] = 0.0  # (a 0 takes w_out's sign)
             np.multiply(g, w_left, out=left)
             np.multiply(g, w_right, out=right)
-            blocks = sums.view(complex).reshape(-1, step.size)
             np.add.accumulate(blocks, axis=1, out=blocks)
             sums *= w_out
             if step.size <= 2 * n:  # several blocks

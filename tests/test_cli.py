@@ -249,6 +249,36 @@ class TestSimulate:
         assert after == before
         assert sorted(os.listdir(tmp_path)) == ["out", "run.ini"]  # no temp dir
 
+    def test_failed_move_leaves_the_previous_run_or_no_summary(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # summary.json marks one whole run: whichever move fails, the directory
+        # holds the previous run's files as they were, or no summary.json.  The
+        # second run is coarser and drops the t = 0.5 profile, so every file moves
+        old, outdir = write_config(tmp_path, name="old.ini", t_end=1.0, snapshots="0, 0.5, 1")
+        new, _ = write_config(tmp_path, name="new.ini", t_end=1.0, snapshots="0, 1", h=0.5)
+        replace, moves = os.replace, 3  # two profiles, then summary.json
+        for failing in range(1, moves + 1):
+            assert main(["simulate", "--config", old]) == 0
+            before = {f: read_bytes(os.path.join(outdir, f)) for f in os.listdir(outdir)}
+            calls = []
+
+            def replace_failing(src, dst):
+                calls.append(dst)
+                if len(calls) == failing:
+                    raise OSError(errno.EIO, "Input/output error", dst)
+                replace(src, dst)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", replace_failing)
+                assert main(["simulate", "--config", new]) == 1
+            assert "i/o error" in capsys.readouterr().err
+            assert len(calls) == failing
+            after = {f: read_bytes(os.path.join(outdir, f)) for f in os.listdir(outdir)}
+            assert after == before or "summary.json" not in after
+            assert sorted(os.listdir(tmp_path)) == ["new.ini", "old.ini", "out"]  # no temp dir
+        assert main(["simulate", "--config", new]) == 0
+        assert len(os.listdir(outdir)) == moves
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg, outdir = write_config(tmp_path, t_end=1.0, snapshots="0, 1")
         assert main(["simulate", "--config", cfg]) == 0

@@ -66,6 +66,58 @@ def two_scan_rhs(system, v):
     return (sums[0, :, :2 * n + 1] - sums[1, :, :2 * n + 1]).reshape(v.shape)
 
 
+def check_scratch_reuse(tail, h, n):
+    """One system called with a state, a 3-row zero-padded stack, a state of
+    zeros ending in -0.0, whose signs of zero show a scan left in the
+    padding, and the stack again: each call's bytes equal a fresh system's
+    first call and two_scan_rhs's, so the scan buffer the system keeps per
+    stack height carries nothing from one call into the next."""
+    f = Nonlinearity.rosenau()
+    system = build_system(Kernel(tail=tail), Grid(h, n), f)
+    rng = np.random.default_rng(9)
+    stack = rng.uniform(-1.0, 1.0, (3, 2 * n + 1))
+    for row, m in zip(stack[1:], (n // 2, n // 3)):
+        row[2 * m + 1:] = 0.0
+    zeros = np.zeros(2 * n + 1)
+    zeros[-1] = -0.0
+    for state in (stack[0], stack, zeros, stack):
+        got = system.rhs_values(state).tobytes()
+        assert got == build_system(Kernel(tail=tail), Grid(h, n), f).rhs_values(state).tobytes()
+        assert got == two_scan_rhs(system, state).tobytes()
+
+
+def horner_before_leading_one(f, v):
+    """Plain Horner's rule, with no leading-1 start: the reference that
+    evaluate_values must equal bit for bit."""
+    *low, top = f._coeffs
+    out = np.multiply(v, top)
+    for coeff in reversed(low):
+        if coeff:
+            out += coeff
+        out *= v
+    return out
+
+
+# zeros, infinities, NaN, subnormals, 1e150 (whose u^2 and up overflow) and ordinary values
+HORNER_INPUTS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2e-308,
+                          1e150, -1e150, 1.0, -1.0, 0.5, -0.75, 3.0])
+# bbm p = 1, 2, 3, rosenau, u^2 and u + u^3
+HORNER_FS = (*(Nonlinearity.bbm(p) for p in (1, 2, 3)), Nonlinearity.rosenau(),
+             Nonlinearity(((2, 1.0),)), Nonlinearity(((1, 1.0), (3, 1.0))))
+
+
+def check_horner_leading_one():
+    """evaluate_values equals plain Horner byte for byte, into a fresh array
+    and into ``out``: the sign of every zero, infinities and NaN included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in HORNER_FS:
+            want = horner_before_leading_one(f, HORNER_INPUTS)
+            for got in (f.evaluate_values(HORNER_INPUTS),
+                        f.evaluate_values(HORNER_INPUTS, np.empty_like(HORNER_INPUTS))):
+                assert np.signbit(got).tolist() == np.signbit(want).tolist()
+                assert got.tobytes() == want.tobytes()
+
+
 def is_5_smooth(m):
     """Whether m has no prime factor above 5."""
     for p in (2, 3, 5):
@@ -178,6 +230,13 @@ class TestNonlinearity:
         scale = sum(abs(c) * np.abs(v)**p for p, c in f.terms)
         assert np.all(np.abs(f.evaluate_values(v) - expected) <= 1e-12 * scale)
         assert f.evaluate_values(np.zeros(4)).tolist() == [0.0] * 4
+
+    def test_leading_one_start_matches_plain_horner_bit_for_bit(self):
+        # v * 1.0 == v, so a top coefficient 1 starts at v + c_{P-1}; u^2 has
+        # c_{P-1} = 0, where that start would turn f(-0.0) = +0.0 into -0.0
+        assert [f._coeffs[-1] == 1.0 and f._coeffs[-2] != 0.0 for f in HORNER_FS] == [
+            True, False, False, False, False, False]
+        check_horner_leading_one()
 
     def test_max_abs_on_interval(self):
         f = Nonlinearity.rosenau()
@@ -440,6 +499,16 @@ class TestRhs:
             for row, state, m in zip(system.rhs_values(v), v, own_ns):
                 own = build_system(Kernel(tail=tail), Grid(h, m), f)
                 assert row[:2 * m + 1].tobytes() == own.rhs_values(state[:2 * m + 1]).tobytes()
+
+    # bbm in one block; bbm at h = 2, span 231, in three blocks; a negative a
+    # at h |lambda| = 7.9, span 59, in seven blocks
+    @pytest.mark.parametrize("tail, h, n", [
+        ((0.5, -1.0), 0.25, 120),
+        ((0.5, -1.0), 2.0, 300),
+        ((-1.3, -2.7), 7.9 / 2.7, 200),
+    ], ids=["bbm-one-block", "bbm-h2", "negative-a"])
+    def test_scan_buffer_survives_reuse(self, tail, h, n):
+        check_scratch_reuse(tail, h, n)
 
     @pytest.mark.parametrize("kernel", [bbm_kernel(), rosenau_kernel()],
                              ids=["bbm", "rosenau"])
